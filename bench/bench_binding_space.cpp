@@ -21,7 +21,6 @@
 #include "binding/traditional_binder.hpp"
 #include "core/annealed_binder.hpp"
 #include "dfg/benchmarks.hpp"
-#include "graph/coloring.hpp"
 #include "graph/conflict.hpp"
 #include "support/table.hpp"
 
@@ -42,7 +41,7 @@ void print_space_study() {
     auto cg = build_conflict_graph(dfg, lt);
     auto mb = ModuleBinding::bind(dfg, *bench.design.schedule,
                                   parse_module_spec(bench.module_spec));
-    const std::size_t min_regs = chordal_clique_number(cg.graph);
+    const auto min_regs = static_cast<std::size_t>(max_live(dfg, lt));
 
     std::vector<double> costs;
     (void)enumerate_bindings(dfg, cg, min_regs,

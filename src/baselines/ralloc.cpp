@@ -2,26 +2,24 @@
 
 #include <algorithm>
 
-#include "graph/chordal.hpp"
-#include "support/check.hpp"
+#include "graph/interval.hpp"
 
 namespace lbist {
 
 RegisterBinding bind_registers_ralloc(const Dfg& dfg,
                                       const VarConflictGraph& cg,
                                       const ModuleBinding& mb) {
-  auto peo = perfect_elimination_order(cg.graph);
-  LBIST_CHECK(peo.has_value(), "conflict graph is not chordal");
-  std::vector<std::size_t> order(peo->rbegin(), peo->rend());
+  const std::span<const LiveInterval> live = cg.live_intervals();
+  const std::vector<std::size_t> peo = interval_elimination_order(live);
+  std::vector<std::size_t> order(peo.rbegin(), peo.rend());
 
-  const std::size_t n = cg.graph.num_vertices();
   const std::size_t m = mb.num_modules();
 
   // Per-register masks over modules: which modules the register feeds
   // (inputs) and is fed by (outputs).
   struct RegState {
     std::vector<std::size_t> members;
-    DynBitset member_vertices;
+    DisjointIntervals lifetimes;
     DynBitset feeds;   // modules this register supplies operands to
     DynBitset fed_by;  // modules writing results into this register
   };
@@ -61,7 +59,7 @@ RegisterBinding bind_registers_ralloc(const Dfg& dfg,
     // Prefer a feasible register where the merge does not create a *new*
     // self-adjacency.
     for (std::size_t r = 0; r < regs.size(); ++r) {
-      if (cg.graph.row(v).intersects(regs[r].member_vertices)) continue;
+      if (regs[r].lifetimes.overlaps(live[v])) continue;
       DynBitset feeds = regs[r].feeds;
       feeds |= vf;
       DynBitset fed_by = regs[r].fed_by;
@@ -77,11 +75,11 @@ RegisterBinding bind_registers_ralloc(const Dfg& dfg,
     // the vertex conflicts with everything anyway the fresh register is
     // mandatory; otherwise it is opened only to dodge a new self-adjacency.
     if (chosen == regs.size()) {
-      regs.push_back(RegState{{}, DynBitset(n), DynBitset(m), DynBitset(m)});
+      regs.push_back(RegState{{}, {}, DynBitset(m), DynBitset(m)});
     }
     RegState& reg = regs[chosen];
     reg.members.push_back(v);
-    reg.member_vertices.set(v);
+    reg.lifetimes.insert(live[v]);
     reg.feeds |= vf;
     reg.fed_by |= vb;
   }

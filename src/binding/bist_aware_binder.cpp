@@ -9,7 +9,7 @@
 #include "binding/cbilbo_check.hpp"
 #include "binding/cbilbo_tracker.hpp"
 #include "binding/sharing.hpp"
-#include "graph/chordal.hpp"
+#include "graph/interval.hpp"
 #include "obs/events.hpp"
 #include "support/arena.hpp"
 #include "support/check.hpp"
@@ -21,7 +21,7 @@ namespace {
 /// Incremental register state kept by the binder.
 struct RegState {
   std::vector<std::size_t> members;  ///< conflict-graph vertices
-  DynBitset member_vertices;         ///< same, as a bitset over vertices
+  DisjointIntervals lifetimes;       ///< members' live intervals
   DynBitset var_mask;                ///< members as a bitset over VarId
   DynBitset share_mask;              ///< union of member sharing masks
   DynBitset src_modules;             ///< modules (+external) writing into it
@@ -52,6 +52,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
                                           std::vector<std::string>* trace,
                                           AlgorithmEvents* events) {
   const std::size_t n = cg.graph.num_vertices();
+  const std::span<const LiveInterval> live = cg.live_intervals();
   SharingAnalysis sa(dfg, mb);
   const std::size_t m = sa.num_modules();
 
@@ -70,9 +71,8 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     std::vector<std::size_t> by_priority(n);
     std::iota(by_priority.begin(), by_priority.end(), std::size_t{0});
     if (opts.sd_ordered_pves) {
-      auto base_peo = perfect_elimination_order(cg.graph);
-      LBIST_CHECK(base_peo.has_value(), "conflict graph is not chordal");
-      auto mcs = max_clique_through_vertex(cg.graph, *base_peo);
+      const std::vector<std::size_t> mcs =
+          interval_max_clique_through_vertex(live);
       std::stable_sort(by_priority.begin(), by_priority.end(),
                        [&](std::size_t a, std::size_t b) {
                          if (sd_vtx[a] != sd_vtx[b]) {
@@ -89,9 +89,8 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     }
     for (std::size_t i = 0; i < n; ++i) rank[by_priority[i]] = i;
   }
-  auto peo = perfect_elimination_order(cg.graph, rank);
-  LBIST_CHECK(peo.has_value(), "conflict graph is not chordal");
-  std::vector<std::size_t> color_order(peo->rbegin(), peo->rend());
+  const std::vector<std::size_t> peo = interval_elimination_order(live, rank);
+  std::vector<std::size_t> color_order(peo.rbegin(), peo.rend());
 
   // --- per-variable connectivity footprints --------------------------------
   std::vector<VarFootprint> fp(n, VarFootprint{DynBitset(m + 1),
@@ -120,7 +119,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   auto assign = [&](std::size_t v, std::size_t r) {
     RegState& reg = regs[r];
     reg.members.push_back(v);
-    reg.member_vertices.set(v);
+    reg.lifetimes.insert(live[v]);
     reg.var_mask.set(cg.vars[v].index());
     reg.sd +=
         static_cast<int>(sa.mask(cg.vars[v]).count_and_not(reg.share_mask));
@@ -144,15 +143,12 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
 
     // Non-conflicting registers.
     feasible.clear();
-    const RowView row = cg.graph.row(v);
     for (std::size_t r = 0; r < regs.size(); ++r) {
-      if (!row.intersects(regs[r].member_vertices)) {
-        feasible.push_back(r);
-      }
+      if (!regs[r].lifetimes.overlaps(live[v])) feasible.push_back(r);
     }
     if (feasible.empty()) {
       RegState fresh{{},
-                     DynBitset(n),
+                     {},
                      DynBitset(dfg.num_vars()),
                      sa.empty_mask(),
                      DynBitset(m + 1),

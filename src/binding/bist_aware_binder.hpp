@@ -51,7 +51,7 @@ struct BistBinderOptions {
 /// CBILBOs.  Appends a human-readable decision log to `*trace` if non-null,
 /// and emits typed decision events (PVES order, ΔSD candidate sets, Case
 /// 1/2 overrides, Lemma-2 checks) to `*events` if non-null.
-/// Throws lbist::Error if the conflict graph is not chordal.
+/// Throws lbist::Error if the conflict graph carries no live intervals.
 [[nodiscard]] RegisterBinding bind_registers_bist_aware(
     const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
     const BistBinderOptions& opts = {},

@@ -41,9 +41,14 @@ ModuleBinding ModuleBinding::bind(const Dfg& dfg, const Schedule& sched,
   std::vector<std::vector<int>> kind_count(
       b.protos_.size(), std::vector<int>(16, 0));
 
-  for (int step = 1; step <= sched.num_steps(); ++step) {
-    std::vector<OpId> ops = sched.ops_in_step(dfg, step);
-    if (ops.empty()) continue;
+  const std::vector<OpId> by_step = sched.ops_by_step(dfg);
+  for (auto first = by_step.begin(); first != by_step.end();) {
+    const int step = sched.step(*first);
+    const auto last = std::find_if(first, by_step.end(), [&](OpId op) {
+      return sched.step(op) != step;
+    });
+    const std::vector<OpId> ops(first, last);
+    first = last;
 
     std::vector<std::vector<std::size_t>> compatible(ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -108,22 +113,24 @@ ModuleBinding ModuleBinding::restore(const Dfg& dfg, const Schedule& sched,
   // bind()'s per-module instance order exactly: a module executes at most
   // one operation per step, so both traversals append in step order.
   std::vector<char> taken(b.protos_.size());
-  for (int step = 1; step <= sched.num_steps(); ++step) {
-    std::fill(taken.begin(), taken.end(), 0);
-    for (OpId op : sched.ops_in_step(dfg, step)) {
-      const ModuleId m = module_of[op];
-      LBIST_CHECK(m.valid() && m.index() < b.protos_.size(),
-                  "operation " + dfg.op(op).name +
-                      " assigned to an unknown module");
-      LBIST_CHECK(b.protos_[m.index()].supports_kind(dfg.op(op).kind),
-                  "module cannot execute operation " + dfg.op(op).name);
-      LBIST_CHECK(taken[m.index()] == 0,
-                  "two operations on one module in step " +
-                      std::to_string(step));
-      taken[m.index()] = 1;
-      b.module_of_[op] = m;
-      b.instances_[m.index()].push_back(op);
+  int step = 0;
+  for (OpId op : sched.ops_by_step(dfg)) {
+    if (sched.step(op) != step) {
+      step = sched.step(op);
+      std::fill(taken.begin(), taken.end(), 0);
     }
+    const ModuleId m = module_of[op];
+    LBIST_CHECK(m.valid() && m.index() < b.protos_.size(),
+                "operation " + dfg.op(op).name +
+                    " assigned to an unknown module");
+    LBIST_CHECK(b.protos_[m.index()].supports_kind(dfg.op(op).kind),
+                "module cannot execute operation " + dfg.op(op).name);
+    LBIST_CHECK(taken[m.index()] == 0,
+                "two operations on one module in step " +
+                    std::to_string(step));
+    taken[m.index()] = 1;
+    b.module_of_[op] = m;
+    b.instances_[m.index()].push_back(op);
   }
   b.build_derived_sets(dfg);
   return b;

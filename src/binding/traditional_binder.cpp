@@ -6,9 +6,8 @@
 #include <set>
 #include <utility>
 
-#include "graph/chordal.hpp"
 #include "graph/coloring.hpp"
-#include "support/check.hpp"
+#include "graph/interval.hpp"
 
 namespace lbist {
 
@@ -60,11 +59,9 @@ RegisterBinding bind_registers_traditional(
 
 RegisterBinding bind_registers_reverse_peo(const Dfg& dfg,
                                            const VarConflictGraph& cg) {
-  auto peo = perfect_elimination_order(cg.graph);
-  LBIST_CHECK(peo.has_value(),
-              "conflict graph is not chordal (loops or mutual exclusion in "
-              "the DFG?)");
-  std::vector<std::size_t> order(peo->rbegin(), peo->rend());
+  const std::vector<std::size_t> peo =
+      interval_elimination_order(cg.live_intervals());
+  std::vector<std::size_t> order(peo.rbegin(), peo.rend());
   Coloring coloring = greedy_color(cg.graph, order);
 
   RegisterBinding rb;

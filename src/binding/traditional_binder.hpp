@@ -28,7 +28,7 @@ namespace lbist {
     const IdMap<VarId, LiveInterval>& lifetimes);
 
 /// Reverse-PEO first-fit minimum coloring (also testability-oblivious).
-/// Throws lbist::Error if the conflict graph is not chordal.
+/// Throws lbist::Error if the conflict graph carries no live intervals.
 [[nodiscard]] RegisterBinding bind_registers_reverse_peo(
     const Dfg& dfg, const VarConflictGraph& cg);
 

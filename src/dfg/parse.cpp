@@ -122,10 +122,10 @@ ParsedDfg parse_dfg(std::string_view text) {
   }
   for (const auto& [out_name, in_name, l] : carries) {
     auto out = dfg.find_var(out_name);
-    auto in = dfg.find_var(in_name);
+    auto init = dfg.find_var(in_name);
     if (!out) parse_fail(l, "unknown carried variable: " + out_name);
-    if (!in) parse_fail(l, "unknown init variable: " + in_name);
-    dfg.tie_loop(*out, *in);
+    if (!init) parse_fail(l, "unknown init variable: " + in_name);
+    dfg.tie_loop(*out, *init);
   }
   dfg.validate();
 

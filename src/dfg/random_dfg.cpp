@@ -59,13 +59,16 @@ RandomDfg make_random_dfg(const RandomDfgOptions& opts) {
   for (const auto& v : dfg.vars()) {
     if (!v.is_input() && v.uses.empty()) dfg.mark_output(v.id);
   }
+  // Collect first: add_op appends to dfg.vars() and may reallocate it.
+  std::vector<VarId> unused_inputs;
   for (const auto& v : dfg.vars()) {
-    if (v.is_input() && v.uses.empty()) {
-      VarId r = dfg.add_op(OpKind::Add, v.id, v.id,
-                           "t" + std::to_string(var_counter++));
-      steps.push_back(opts.num_steps + 1);
-      dfg.mark_output(r);
-    }
+    if (v.is_input() && v.uses.empty()) unused_inputs.push_back(v.id);
+  }
+  for (VarId v : unused_inputs) {
+    VarId r = dfg.add_op(OpKind::Add, v, v,
+                         "t" + std::to_string(var_counter++));
+    steps.push_back(opts.num_steps + 1);
+    dfg.mark_output(r);
   }
   // Loop-carried ties: feed an output result back into an input whose last
   // read is no later than the carried value's defining step (the loop

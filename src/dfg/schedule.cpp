@@ -34,4 +34,14 @@ std::vector<OpId> Schedule::ops_in_step(const Dfg& dfg, int step) const {
   return result;
 }
 
+std::vector<OpId> Schedule::ops_by_step(const Dfg& dfg) const {
+  std::vector<OpId> result;
+  result.reserve(dfg.num_ops());
+  for (const auto& op : dfg.ops()) result.push_back(op.id);
+  std::stable_sort(result.begin(), result.end(), [&](OpId a, OpId b) {
+    return step_of_[a] < step_of_[b];
+  });
+  return result;
+}
+
 }  // namespace lbist

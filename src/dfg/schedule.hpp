@@ -27,6 +27,10 @@ class Schedule {
   /// Operations scheduled in a given step, in id order.
   [[nodiscard]] std::vector<OpId> ops_in_step(const Dfg& dfg, int step) const;
 
+  /// Every operation in step order, in id order within a step.  Its cost
+  /// does not depend on the step numbers, unlike a walk over the steps.
+  [[nodiscard]] std::vector<OpId> ops_by_step(const Dfg& dfg) const;
+
  private:
   IdMap<OpId, int> step_of_;
   int num_steps_ = 0;

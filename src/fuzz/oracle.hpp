@@ -8,8 +8,9 @@
 //
 //   binding-valid:<arm>     the register binding partitions the allocatable
 //                           variables with no intra-register conflicts
-//   binding-minimal:<arm>   trad/bist bindings use exactly the chordal
-//                           clique number of registers (paper Section III)
+//   binding-minimal:<arm>   trad/bist bindings use exactly the clique
+//                           number of registers, the live peak `max_live`
+//                           (paper Section III)
 //   simulation:<arm>        cycle-level datapath simulation of the bound
 //                           design matches DFG reference semantics on
 //                           deterministic input vectors

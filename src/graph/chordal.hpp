@@ -4,11 +4,10 @@
 //
 // Interval graphs (the conflict graphs of straight-line scheduled DFGs) are
 // chordal, so they admit a PVES; coloring greedily in *reverse* PVES order
-// is optimal (Golumbic).  The paper's register binder departs from plain
-// reverse-PVES coloring in two ways (Section III.A): the PVES itself is
-// chosen by a (sharing-degree, max-clique-size) priority, and colors are
-// chosen by test-resource sharing rather than first-fit.  This header
-// provides the generic pieces; the priorities live in the binding library.
+// is optimal (Golumbic).  These routines work on any graph from its bitset
+// adjacency.  The register binders do not call them: they take the same
+// order and MCS from the live intervals (graph/interval.hpp), and the tests
+// hold that path to these generic routines as its reference.
 
 #include <cstddef>
 #include <optional>

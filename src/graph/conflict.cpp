@@ -3,7 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "support/check.hpp"
+
 namespace lbist {
+
+std::span<const LiveInterval> VarConflictGraph::live_intervals() const {
+  LBIST_CHECK(intervals.size() == graph.num_vertices(),
+              "conflict graph carries no live intervals (build it with "
+              "build_conflict_graph)");
+  return intervals;
+}
 
 VarConflictGraph build_conflict_graph(
     const Dfg& dfg, const IdMap<VarId, LiveInterval>& lifetimes) {
@@ -13,6 +22,7 @@ VarConflictGraph build_conflict_graph(
     if (!v.allocatable()) continue;
     out.vertex_of[v.id] = static_cast<int>(out.vars.size());
     out.vars.push_back(v.id);
+    out.intervals.push_back(lifetimes[v.id]);
   }
   const std::size_t n = out.vars.size();
 
@@ -26,17 +36,17 @@ VarConflictGraph build_conflict_graph(
   }
   std::sort(by_birth.begin(), by_birth.end(),
             [&](std::uint32_t a, std::uint32_t b) {
-              return lifetimes[out.vars[a]].birth < lifetimes[out.vars[b]].birth;
+              return out.intervals[a].birth < out.intervals[b].birth;
             });
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
   std::vector<std::uint32_t> active;  // sweep front, pruned lazily
   for (const std::uint32_t v : by_birth) {
-    const LiveInterval iv = lifetimes[out.vars[v]];
+    const LiveInterval iv = out.intervals[v];
     std::size_t keep = 0;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const std::uint32_t u = active[i];
-      const LiveInterval iu = lifetimes[out.vars[u]];
+      const LiveInterval iu = out.intervals[u];
       if (iu.death <= iv.birth) continue;  // u expired; drop from the front
       active[keep++] = u;
       // iu.birth <= iv.birth and iu.death > iv.birth: overlap iff v's

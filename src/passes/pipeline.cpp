@@ -397,14 +397,24 @@ class SchedPass final : public Pass {
     const Json& lifetimes = ir.at("lifetimes");
     LBIST_CHECK(lifetimes.size() == dfg.num_vars(),
                 "snapshot lifetimes do not match the design");
-    state.result.lifetimes.assign(dfg.num_vars(), {});
+    // Lifetimes are a function of the schedule and the lifetime policy, so
+    // a snapshot may only repeat them: an empty, inverted or stretched
+    // interval would otherwise reach the binders unchecked.
+    state.result.lifetimes =
+        compute_lifetimes(dfg, state.sched(), state.options().lifetime);
     for (std::size_t i = 0; i < lifetimes.size(); ++i) {
       const Json& interval = lifetimes.at(i);
       LBIST_CHECK(interval.size() == 2, "snapshot lifetime is not a pair");
-      LiveInterval lt;
-      lt.birth = interval.at(0).as_int();
-      lt.death = interval.at(1).as_int();
-      state.result.lifetimes[VarId{static_cast<VarId::value_type>(i)}] = lt;
+      const VarId var{static_cast<VarId::value_type>(i)};
+      const LiveInterval& lt = state.result.lifetimes[var];
+      const int birth = interval.at(0).as_int();
+      const int death = interval.at(1).as_int();
+      LBIST_CHECK(birth == lt.birth && death == lt.death,
+                  "snapshot lifetime of variable '" + dfg.var(var).name +
+                      "' is (" + std::to_string(birth) + ", " +
+                      std::to_string(death) + "], the schedule gives (" +
+                      std::to_string(lt.birth) + ", " +
+                      std::to_string(lt.death) + "]");
     }
   }
 

@@ -202,6 +202,9 @@ TEST(BronKerbosch, AgreesWithChordalMachineryOnIntervalGraphs) {
     auto cg = build_conflict_graph(bench.design.dfg, lt);
     EXPECT_EQ(max_clique_size(cg.graph), chordal_clique_number(cg.graph))
         << bench.name;
+    EXPECT_EQ(static_cast<std::size_t>(max_live(bench.design.dfg, lt)),
+              chordal_clique_number(cg.graph))
+        << bench.name;
   }
 }
 

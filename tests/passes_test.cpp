@@ -137,6 +137,27 @@ TEST(Snapshot, RestoreRejectsMalformedDocuments) {
   EXPECT_THROW((void)pipeline.restore(
                    Json::parse(good.substr(0, good.size() / 2) + "\"}")),
                Error);
+
+  // Lifetimes the schedule does not produce (inverted, stretched to the
+  // int range) are rejected at restore, naming the variable.
+  SynthState at_sched(bench.design.dfg, *bench.design.schedule, protos, {});
+  pipeline.run(at_sched, pipeline.index_of("sched") + 1);
+  const std::string sched_snap = pipeline.snapshot(at_sched).dump_compact();
+  const std::string first = "\"lifetimes\":[[0,1]";
+  const std::size_t at = sched_snap.find(first);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_NO_THROW((void)pipeline.restore(Json::parse(sched_snap)));
+  for (const char* bad : {"[5,2]", "[0,2000000000]", "[-2000000000,3]"}) {
+    std::string doc = sched_snap;
+    doc.replace(at, first.size(), std::string("\"lifetimes\":[") + bad);
+    try {
+      (void)pipeline.restore(Json::parse(doc));
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("variable 'a'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, WriterRecordIsInformationalOnly) {

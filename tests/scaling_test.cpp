@@ -19,6 +19,7 @@
 #include "core/synthesizer.hpp"
 #include "dfg/random_dfg.hpp"
 #include "graph/chordal.hpp"
+#include "graph/interval.hpp"
 #include "graph/undirected_graph.hpp"
 #include "support/arena.hpp"
 #include "support/dyn_bitset.hpp"
@@ -255,36 +256,44 @@ std::optional<std::vector<std::size_t>> reference_peo(
   return order;
 }
 
-/// Random interval graph — guaranteed chordal, the binder's actual shape.
-UndirectedGraph random_interval_graph(std::size_t n, std::mt19937_64& rng) {
-  std::vector<std::pair<int, int>> iv(n);
+/// Random live intervals (birth, death] and their intersection graph —
+/// guaranteed chordal, the binder's actual shape.
+std::vector<LiveInterval> random_intervals(std::size_t n,
+                                           std::mt19937_64& rng) {
+  std::vector<LiveInterval> iv(n);
   for (auto& [birth, death] : iv) {
     birth = static_cast<int>(rng() % (2 * n));
     death = birth + 1 + static_cast<int>(rng() % 10);
   }
+  return iv;
+}
+
+UndirectedGraph interval_graph(const std::vector<LiveInterval>& iv) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (iv[a].first < iv[b].second && iv[b].first < iv[a].second) {
+  for (std::size_t a = 0; a < iv.size(); ++a) {
+    for (std::size_t b = a + 1; b < iv.size(); ++b) {
+      if (iv[a].overlaps(iv[b])) {
         edges.emplace_back(static_cast<std::uint32_t>(a),
                            static_cast<std::uint32_t>(b));
       }
     }
   }
-  return UndirectedGraph(n, edges);
+  return UndirectedGraph(iv.size(), edges);
 }
 
 TEST(ChordalTest, IncrementalPeoMatchesReferenceOnIntervalGraphs) {
   std::mt19937_64 rng(2026);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 5 + rng() % 60;
-    const UndirectedGraph g = random_interval_graph(n, rng);
+    const std::vector<LiveInterval> iv = random_intervals(n, rng);
+    const UndirectedGraph g = interval_graph(iv);
 
     auto got = perfect_elimination_order(g);
     auto want = reference_peo(g, {});
     ASSERT_TRUE(want.has_value());
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, *want);
+    EXPECT_EQ(interval_elimination_order(iv), *want);
 
     // And with a nontrivial priority rank (the binder's PVES path).
     std::vector<std::size_t> rank(n);
@@ -294,6 +303,7 @@ TEST(ChordalTest, IncrementalPeoMatchesReferenceOnIntervalGraphs) {
     ASSERT_TRUE(want_rank.has_value());
     ASSERT_TRUE(got_rank.has_value());
     EXPECT_EQ(*got_rank, *want_rank);
+    EXPECT_EQ(interval_elimination_order(iv, rank), *want_rank);
   }
 }
 
