@@ -1,9 +1,6 @@
 #include "bist/fault_sim.hpp"
 
-#include <algorithm>
-
 #include "rtl/simulate.hpp"
-#include "support/lfsr.hpp"
 
 namespace lbist {
 
@@ -23,74 +20,42 @@ std::vector<StuckFault> enumerate_port_faults(int width) {
 
 namespace {
 
-std::uint32_t inject(std::uint32_t value, int bit, bool stuck_one) {
-  const std::uint32_t mask = std::uint32_t{1} << bit;
-  return stuck_one ? (value | mask) : (value & ~mask);
-}
-
-/// Signature of one `patterns`-long session of `kind` with the fault
-/// applied (pass nullptr for the golden run).
-std::uint32_t session_signature(OpKind kind, int width, int patterns,
-                                bool independent_tpgs,
-                                const StuckFault* fault) {
-  // Distinct non-zero seeds; with shared sequences the right port replays
-  // the left port's stream exactly.
-  Lfsr tpg_left(width, 0x5);
-  Lfsr tpg_right(width, independent_tpgs ? 0x13 : 0x5);
-  Misr sa(width);
-  for (int p = 0; p < patterns; ++p) {
-    std::uint32_t a = tpg_left.state();
-    std::uint32_t b = independent_tpgs ? tpg_right.state() : a;
-    if (fault != nullptr && fault->site == StuckFault::Site::LeftPort) {
-      a = inject(a, fault->bit, fault->stuck_one);
-    }
-    if (fault != nullptr && fault->site == StuckFault::Site::RightPort) {
-      b = inject(b, fault->bit, fault->stuck_one);
-    }
-    std::uint32_t y = eval_op(kind, a, b, width);
-    if (fault != nullptr && fault->site == StuckFault::Site::Output) {
-      y = inject(y, fault->bit, fault->stuck_one);
-    }
-    sa.absorb(y);
-    tpg_left.step();
-    tpg_right.step();
-  }
-  return sa.signature();
+std::uint32_t inject(std::uint32_t value, const StuckFault& fault) {
+  const std::uint32_t mask = std::uint32_t{1} << fault.bit;
+  return fault.stuck_one ? (value | mask) : (value & ~mask);
 }
 
 }  // namespace
 
+SessionGrade grade_port_faults(const std::vector<OpKind>& kinds,
+                               const TpgPair& tpgs, int patterns, int width) {
+  const Stimulus stimulus(tpgs, patterns, width);
+  const std::vector<StuckFault> faults = enumerate_port_faults(width);
+  return grade_faults(
+      static_cast<int>(kinds.size()), static_cast<int>(faults.size()),
+      [&](int s, int f) {
+        const OpKind kind = kinds[static_cast<std::size_t>(s)];
+        if (f < 0) {
+          return stimulus.signature([&](std::uint32_t a, std::uint32_t b) {
+            return eval_op(kind, a, b, width);
+          });
+        }
+        const StuckFault& fault = faults[static_cast<std::size_t>(f)];
+        return stimulus.signature([&](std::uint32_t a, std::uint32_t b) {
+          if (fault.site == StuckFault::Site::LeftPort) a = inject(a, fault);
+          if (fault.site == StuckFault::Site::RightPort) b = inject(b, fault);
+          const std::uint32_t y = eval_op(kind, a, b, width);
+          return fault.site == StuckFault::Site::Output ? inject(y, fault)
+                                                        : y;
+        });
+      });
+}
+
 CoverageResult simulate_module_bist(const ModuleProto& proto, int width,
                                     int patterns, bool independent_tpgs) {
-  // Cap the session at one TPG period: beyond it the LFSR replays the same
-  // patterns, and — the MISR being linear over GF(2) — an error sequence
-  // absorbed an even number of times cancels out of the signature entirely.
-  // Real BIST schedules never run past the generator period for the same
-  // reason.
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-  if (static_cast<std::uint64_t>(patterns) > period) {
-    patterns = static_cast<int>(period);  // width >= 31 never caps
-  }
-
-  CoverageResult result;
-  std::vector<std::uint32_t> golden;
-  golden.reserve(proto.supports.size());
-  for (OpKind kind : proto.supports) {
-    golden.push_back(
-        session_signature(kind, width, patterns, independent_tpgs, nullptr));
-  }
-  for (const StuckFault& fault : enumerate_port_faults(width)) {
-    ++result.total;
-    for (std::size_t k = 0; k < proto.supports.size(); ++k) {
-      const std::uint32_t sig = session_signature(
-          proto.supports[k], width, patterns, independent_tpgs, &fault);
-      if (sig != golden[k]) {
-        ++result.detected;
-        break;
-      }
-    }
-  }
-  return result;
+  return grade_port_faults(proto.supports, TpgPair::generic(independent_tpgs),
+                           patterns, width)
+      .coverage;
 }
 
 }  // namespace lbist

@@ -8,19 +8,17 @@
 // premise that "the mapping of registers to TPGs and SAs is independent of
 // the function and the gate-level implementation of the operator modules".
 //
-// A module test session is simulated exactly as the hardware would run it:
-// maximal-length LFSRs (the TPG registers) drive the two input ports, the
-// module computes, and a MISR (the SA register) compacts the responses.  A
-// fault is detected when the faulty signature differs from the golden one.
-// The same machinery demonstrates *why* the methodology insists on two
-// distinct TPGs: driving both ports from one pattern sequence leaves
-// operand-correlation faults undetected (see bench_fault_coverage).
+// Port faults are the word-level fault universe of the session simulator
+// (bist/session_sim.hpp): TPG LFSRs drive the two input ports, eval_op
+// computes, and the SA's MISR compacts the responses.  The same machinery
+// demonstrates *why* the methodology insists on two distinct TPGs: driving
+// both ports from one pattern sequence leaves operand-correlation faults
+// undetected (see bench_fault_coverage).
 
 #include <vector>
 
 #include "binding/module_spec.hpp"
-#include "bist/allocator.hpp"
-#include "rtl/datapath.hpp"
+#include "bist/session_sim.hpp"
 
 namespace lbist {
 
@@ -35,20 +33,15 @@ struct StuckFault {
 /// All 6*width port faults of a module.
 [[nodiscard]] std::vector<StuckFault> enumerate_port_faults(int width);
 
-/// Outcome of fault-simulating one module's BIST session(s).
-struct CoverageResult {
-  int total = 0;
-  int detected = 0;
+/// Grades the port faults (enumerate_port_faults order) of a module
+/// implementing `kinds`, one sub-session per kind driven by `tpgs`.
+[[nodiscard]] SessionGrade grade_port_faults(const std::vector<OpKind>& kinds,
+                                             const TpgPair& tpgs,
+                                             int patterns, int width);
 
-  [[nodiscard]] double coverage() const {
-    return total == 0 ? 1.0 : static_cast<double>(detected) / total;
-  }
-};
-
-/// Simulates pseudo-random testing of a module implementing `proto` (each
-/// supported function gets its own `patterns`-long session into the MISR;
-/// sessions are capped at one TPG period — repeating the maximal-length
-/// sequence cancels error signatures out of the linear MISR).
+/// Simulates pseudo-random testing of a module implementing `proto` under
+/// the generic TPG seeds (each supported function gets its own
+/// `patterns`-long, period-capped session into the MISR).
 /// With `independent_tpgs` false, one LFSR sequence drives both ports —
 /// the degenerate configuration the embedding rule tpg_left != tpg_right
 /// exists to prevent.

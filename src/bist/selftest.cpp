@@ -1,162 +1,51 @@
 #include "bist/selftest.hpp"
 
-#include <algorithm>
+#include <string>
 
-#include "rtl/simulate.hpp"
 #include "support/check.hpp"
-#include "support/lfsr.hpp"
 
 namespace lbist {
 
 namespace {
 
-/// Per-register seed: distinct, non-zero, deterministic.
-std::uint32_t seed_for(std::size_t reg, int width) {
-  const std::uint32_t mask =
-      width == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << width) - 1);
-  const std::uint32_t seed = (0x9E3779B9u * (static_cast<std::uint32_t>(reg)
-                                             + 1)) & mask;
-  return seed == 0 ? 1 : seed;
-}
-
-std::uint32_t inject(std::uint32_t value, const StuckFault& fault) {
-  const std::uint32_t mask = std::uint32_t{1} << fault.bit;
-  return fault.stuck_one ? (value | mask) : (value & ~mask);
-}
-
-/// Signatures of every (module, function) pair for one full plan run.
-std::vector<std::vector<std::uint32_t>> run_plan(
-    const Datapath& dp, const BistSolution& solution,
-    const TestSessionPlan& sessions, int patterns, int width,
-    const ModuleFault* fault) {
-  std::vector<std::vector<std::uint32_t>> signatures(dp.modules.size());
-
-  for (int session = 0; session < sessions.num_sessions; ++session) {
-    // Modules under test this session.
-    std::vector<std::size_t> active;
-    for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-      if (sessions.session_of[m] == session) active.push_back(m);
+/// Throws unless every register the embedding of module `m` uses is wired
+/// to where the embedding needs it.
+void check_wiring(const Datapath& dp, const BistEmbedding& e,
+                  std::size_t m) {
+  const DpModule& mod = dp.modules[m];
+  auto check_tpg_path = [&](std::size_t tpg,
+                            const std::optional<std::size_t>& through,
+                            const std::optional<std::size_t>& via,
+                            const std::set<std::size_t>& sources,
+                            const char* port) {
+    if (!through.has_value()) {
+      LBIST_CHECK(sources.count(tpg) > 0,
+                  "TPG " + dp.registers[tpg].name +
+                      " is not connected to the " + port + " port of " +
+                      mod.name);
+      return;
     }
-    // The widest function set among active modules decides how many
-    // per-function sub-sessions this session needs.
-    std::size_t max_kinds = 0;
-    for (std::size_t m : active) {
-      max_kinds = std::max(max_kinds, dp.modules[m].proto.supports.size());
-    }
-
-    for (std::size_t kind_slot = 0; kind_slot < max_kinds; ++kind_slot) {
-      // Reconfigure registers: one LFSR per TPG duty, one MISR per SA duty.
-      // (A CBILBO's generator and compactor halves are independent, which
-      // is precisely why it can do both at once.)
-      std::vector<std::optional<Lfsr>> generators(dp.registers.size());
-      std::vector<std::optional<Misr>> compactors(dp.registers.size());
-      for (std::size_t m : active) {
-        const BistEmbedding& e = *solution.embeddings[m];
-        const DpModule& mod = dp.modules[m];
-        auto check_tpg_path = [&](std::size_t tpg,
-                                  const std::optional<std::size_t>& through,
-                                  const std::optional<std::size_t>& via,
-                                  const std::set<std::size_t>& sources,
-                                  const char* port) {
-          if (!through.has_value()) {
-            LBIST_CHECK(sources.count(tpg) > 0,
-                        "TPG " + dp.registers[tpg].name +
-                            " is not connected to the " + port + " port of " +
-                            mod.name);
-            return;
-          }
-          // Transparent path: tpg -> through(identity) -> via -> port.
-          const DpModule& wire = dp.modules[*through];
-          LBIST_CHECK(via.has_value() && sources.count(*via) > 0,
-                      "transparent path via-register does not feed the " +
-                          std::string(port) + " port of " + mod.name);
-          LBIST_CHECK(wire.left_sources.count(tpg) > 0 ||
-                          wire.right_sources.count(tpg) > 0,
-                      "TPG does not feed the transparent module " +
-                          wire.name);
-          LBIST_CHECK(wire.dest_registers.count(*via) > 0,
-                      "transparent module " + wire.name +
-                          " does not write the via register");
-        };
-        check_tpg_path(e.tpg_left, e.left_through, e.left_via,
-                       mod.left_sources, "left");
-        check_tpg_path(e.tpg_right, e.right_through, e.right_via,
-                       mod.right_sources, "right");
-        if (e.sa.has_value()) {
-          LBIST_CHECK(mod.dest_registers.count(*e.sa) > 0,
-                      "SA " + dp.registers[*e.sa].name +
-                          " is not written by " + mod.name);
-        }
-        for (std::size_t tpg : {e.tpg_left, e.tpg_right}) {
-          if (!generators[tpg].has_value()) {
-            generators[tpg].emplace(width, seed_for(tpg, width));
-          }
-        }
-        if (e.sa.has_value() && !compactors[*e.sa].has_value()) {
-          compactors[*e.sa].emplace(width);
-        }
-      }
-
-      // Transparent paths deliver the generator's stream one clock late
-      // (through the identity module into the via register); track the
-      // previous state per generator, with via registers reset to zero.
-      std::vector<std::uint32_t> delayed(dp.registers.size(), 0);
-
-      for (int p = 0; p < patterns; ++p) {
-        // All modules sample the generator states of this clock...
-        std::vector<std::uint32_t> responses(dp.modules.size(), 0);
-        for (std::size_t m : active) {
-          const DpModule& mod = dp.modules[m];
-          if (kind_slot >= mod.proto.supports.size()) continue;
-          const OpKind kind = mod.proto.supports[kind_slot];
-          const BistEmbedding& e = *solution.embeddings[m];
-          std::uint32_t a = e.left_via.has_value()
-                                ? delayed[e.tpg_left]
-                                : generators[e.tpg_left]->state();
-          std::uint32_t b = e.right_via.has_value()
-                                ? delayed[e.tpg_right]
-                                : generators[e.tpg_right]->state();
-          if (fault != nullptr && fault->module == m) {
-            if (fault->fault.site == StuckFault::Site::LeftPort) {
-              a = inject(a, fault->fault);
-            }
-            if (fault->fault.site == StuckFault::Site::RightPort) {
-              b = inject(b, fault->fault);
-            }
-          }
-          std::uint32_t y = eval_op(kind, a, b, width);
-          if (fault != nullptr && fault->module == m &&
-              fault->fault.site == StuckFault::Site::Output) {
-            y = inject(y, fault->fault);
-          }
-          responses[m] = y;
-        }
-        // ...then every test register clocks once.
-        for (std::size_t m : active) {
-          const DpModule& mod = dp.modules[m];
-          if (kind_slot >= mod.proto.supports.size()) continue;
-          const BistEmbedding& e = *solution.embeddings[m];
-          if (e.sa.has_value()) compactors[*e.sa]->absorb(responses[m]);
-        }
-        for (std::size_t r = 0; r < generators.size(); ++r) {
-          if (generators[r].has_value()) {
-            delayed[r] = generators[r]->state();
-            generators[r]->step();
-          }
-        }
-      }
-
-      // Read out the signatures of this sub-session.
-      for (std::size_t m : active) {
-        const DpModule& mod = dp.modules[m];
-        if (kind_slot >= mod.proto.supports.size()) continue;
-        const BistEmbedding& e = *solution.embeddings[m];
-        signatures[m].push_back(
-            e.sa.has_value() ? compactors[*e.sa]->signature() : 0);
-      }
-    }
+    // Transparent path: tpg -> through(identity) -> via -> port.
+    const DpModule& wire = dp.modules[*through];
+    LBIST_CHECK(via.has_value() && sources.count(*via) > 0,
+                "transparent path via-register does not feed the " +
+                    std::string(port) + " port of " + mod.name);
+    LBIST_CHECK(wire.left_sources.count(tpg) > 0 ||
+                    wire.right_sources.count(tpg) > 0,
+                "TPG does not feed the transparent module " + wire.name);
+    LBIST_CHECK(wire.dest_registers.count(*via) > 0,
+                "transparent module " + wire.name +
+                    " does not write the via register");
+  };
+  check_tpg_path(e.tpg_left, e.left_through, e.left_via, mod.left_sources,
+                 "left");
+  check_tpg_path(e.tpg_right, e.right_through, e.right_via,
+                 mod.right_sources, "right");
+  if (e.sa.has_value()) {
+    LBIST_CHECK(mod.dest_registers.count(*e.sa) > 0,
+                "SA " + dp.registers[*e.sa].name + " is not written by " +
+                    mod.name);
   }
-  return signatures;
 }
 
 }  // namespace
@@ -164,29 +53,38 @@ std::vector<std::vector<std::uint32_t>> run_plan(
 SelfTestResult run_self_test(const Datapath& dp,
                              const BistSolution& solution, int patterns,
                              int width) {
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-  if (static_cast<std::uint64_t>(patterns) > period) {
-    patterns = static_cast<int>(period);
+  // Configure the chip session by session before grading anything.
+  const TestSessionPlan sessions = schedule_test_sessions(dp, solution);
+  for (int s = 0; s < sessions.num_sessions; ++s) {
+    for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+      if (sessions.session_of[m] == s) {
+        check_wiring(dp, *solution.embeddings[m], m);
+      }
+    }
   }
 
-  const TestSessionPlan sessions = schedule_test_sessions(dp, solution);
-
+  const std::vector<StuckFault> faults = enumerate_port_faults(width);
   SelfTestResult result;
-  result.golden_signatures =
-      run_plan(dp, solution, sessions, patterns, width, nullptr);
-
+  result.golden_signatures.resize(dp.modules.size());
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     if (!solution.embeddings[m].has_value()) continue;
-    for (const StuckFault& f : enumerate_port_faults(width)) {
-      ModuleFault mf{m, f};
-      ++result.faults_injected;
-      const auto faulty =
-          run_plan(dp, solution, sessions, patterns, width, &mf);
-      if (faulty[m] != result.golden_signatures[m]) {
-        ++result.faults_detected;
-      } else {
-        result.escapes.push_back(mf);
-      }
+    const BistEmbedding& e = *solution.embeddings[m];
+    const std::vector<OpKind>& kinds = dp.modules[m].proto.supports;
+    // An output observed at a primary pin leaves no on-chip signature:
+    // every sub-session reads zero and every fault escapes.
+    const SessionGrade grade =
+        e.sa.has_value()
+            ? grade_port_faults(kinds, TpgPair::chip(e, width), patterns,
+                                width)
+            : grade_faults(static_cast<int>(kinds.size()),
+                           static_cast<int>(faults.size()),
+                           [](int, int) { return 0u; });
+    result.golden_signatures[m] = grade.golden;
+    result.faults_injected += grade.coverage.total;
+    result.faults_detected += grade.coverage.detected;
+    for (int f : grade.undetected) {
+      result.escapes.push_back(
+          ModuleFault{m, faults[static_cast<std::size_t>(f)]});
     }
   }
   return result;

@@ -2,24 +2,25 @@
 // Chip-level self-test execution — "the chip has the capability to test
 // itself", actually run.
 //
-// Unlike bist/fault_sim.hpp (which grades one module's TPG/SA setup in
-// isolation), this engine executes the *complete* test plan on the
-// structural data path: session by session, the registers selected by the
-// allocator are reconfigured into their roles (TPG registers become LFSRs,
-// SA registers MISRs, CBILBOs both at once), patterns flow through the
-// real port multiplexers to every module under test concurrently, and each
-// module's signature is compacted by its own SA.  Faults are injected at
-// module ports and detection is judged exactly as on silicon: some
-// signature differs from the fault-free reference.
+// Unlike simulate_module_bist (which grades a module under the generic
+// seeds), this engine runs the *complete* test plan on the structural data
+// path: session by session, the registers selected by the allocator are
+// reconfigured into their roles (TPG registers become LFSRs, SA registers
+// MISRs, CBILBOs both at once), patterns flow through the real port
+// multiplexers to every module under test, and each module's signature is
+// compacted by its own SA.  Faults are injected at module ports and
+// detection is judged exactly as on silicon: some signature differs from
+// the fault-free reference.
 //
 // This closes the last gap between "the allocator said these registers
-// suffice" and "running the self-test program detects the faults": the
-// engine only reads patterns through connections that exist in the
-// netlist, so a bogus embedding (TPG not connected to the port it is
-// supposed to drive) throws.
+// suffice" and "running the self-test program detects the faults": every
+// embedding is first checked against the netlist's connections, so a bogus
+// one (TPG not connected to the port it is supposed to drive) throws.
+// Each SA then compacts one module per session and every sub-session
+// restarts its generators from the chip seeds, so each module is graded on
+// its own by the session simulator (bist/session_sim.hpp) with its
+// embedding's chip seeds; that equals re-running the whole chip per fault.
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "bist/allocator.hpp"
@@ -52,10 +53,9 @@ struct SelfTestResult {
   }
 };
 
-/// Executes the plan fault-free and then once per port fault of every
-/// testable module.  `patterns` is capped at the TPG period.  Throws
-/// lbist::Error if an embedding references a connection the netlist does
-/// not have.
+/// Grades every port fault of every testable module under the plan.
+/// `patterns` is capped at the TPG period.  Throws lbist::Error if an
+/// embedding references a connection the netlist does not have.
 [[nodiscard]] SelfTestResult run_self_test(const Datapath& dp,
                                            const BistSolution& solution,
                                            int patterns, int width);

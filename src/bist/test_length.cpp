@@ -9,9 +9,7 @@ namespace lbist {
 TestLength find_test_length(const ModuleProto& proto, int width,
                             double target) {
   LBIST_CHECK(target > 0.0 && target <= 1.0, "target must be in (0, 1]");
-  const std::uint64_t period64 = (std::uint64_t{1} << width) - 1;
-  const int period = period64 > 1000000 ? 1000000
-                                        : static_cast<int>(period64);
+  const int period = period_capped(1000000, width);
 
   auto coverage_at = [&](int patterns) {
     return simulate_module_bist(proto, width, patterns);

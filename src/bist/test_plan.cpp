@@ -21,11 +21,7 @@ TestPlan build_test_plan(const Datapath& dp, const BistSolution& solution,
     report.module = m;
     report.session = sessions.session_of[m];
     report.embedding = *solution.embeddings[m];
-    report.patterns = patterns_per_module;
-    const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-    if (static_cast<std::uint64_t>(report.patterns) > period) {
-      report.patterns = static_cast<int>(period);
-    }
+    report.patterns = period_capped(patterns_per_module, width);
     report.coverage =
         simulate_module_bist(dp.modules[m].proto, width, patterns_per_module);
     coverage_sum += report.coverage.coverage();
@@ -38,12 +34,8 @@ TestPlan build_test_plan(const Datapath& dp, const BistSolution& solution,
       covered_modules == 0 ? 1.0 : coverage_sum / covered_modules;
   // Sessions run back to back; within a session everything runs at once,
   // so a session takes one module's (period-capped) pattern budget.
-  int effective = patterns_per_module;
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-  if (static_cast<std::uint64_t>(effective) > period) {
-    effective = static_cast<int>(period);
-  }
-  plan.total_clocks = plan.num_sessions * effective;
+  plan.total_clocks =
+      plan.num_sessions * period_capped(patterns_per_module, width);
   return plan;
 }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "support/lfsr.hpp"
-
 namespace lbist {
 
 std::vector<GateFault> enumerate_gate_faults(const GateNetlist& netlist) {
@@ -20,116 +18,44 @@ std::vector<GateFault> enumerate_gate_faults(const GateNetlist& netlist) {
 
 namespace {
 
-/// Packs `count` (<= 64) consecutive LFSR states, bit i of word `b` being
-/// bit b of the i-th state.
-std::vector<std::uint64_t> pack_patterns(Lfsr& lfsr, int count, int width) {
-  std::vector<std::uint64_t> words(static_cast<std::size_t>(width), 0);
-  for (int p = 0; p < count; ++p) {
-    const std::uint32_t state = lfsr.state();
-    for (int b = 0; b < width; ++b) {
-      if ((state >> b) & 1u) {
-        words[static_cast<std::size_t>(b)] |= std::uint64_t{1} << p;
-      }
-    }
-    lfsr.step();
+/// Grades every gate fault of `module` under one session of `tpgs`.  Fault
+/// index 2n + v is node n stuck at v, the enumerate_gate_faults order.
+GateBistDetail grade_gate_faults(const ModuleNetlist& module,
+                                 const TpgPair& tpgs, int patterns) {
+  const std::vector<PackedBlock> blocks =
+      Stimulus(tpgs, patterns, module.width).packed();
+  const SessionGrade grade = grade_faults(
+      1, 2 * static_cast<int>(module.netlist.num_nodes()), [&](int, int f) {
+        return packed_signature(blocks, module.width,
+                                [&](const PackedBlock& blk) {
+                                  return module.eval(blk.a, blk.b,
+                                                     f < 0 ? -1 : f / 2,
+                                                     f % 2 == 1);
+                                });
+      });
+  GateBistDetail detail;
+  detail.summary = grade.coverage;
+  detail.golden_signature = grade.golden.front();
+  for (int f : grade.undetected) {
+    detail.undetected.push_back(GateFault{f / 2, f % 2 == 1});
   }
-  return words;
-}
-
-/// One 64-pattern-parallel stimulus block for both operand ports.
-struct Block {
-  std::vector<std::uint64_t> a, b;
-  int count = 0;
-};
-
-/// Pre-packs a whole session's stimulus in 64-pattern blocks.
-std::vector<Block> pack_session(Lfsr& gen_a, Lfsr& gen_b, int patterns,
-                                int width) {
-  std::vector<Block> blocks;
-  for (int done = 0; done < patterns; done += 64) {
-    const int count = std::min(64, patterns - done);
-    Block blk;
-    blk.a = pack_patterns(gen_a, count, width);
-    blk.b = pack_patterns(gen_b, count, width);
-    blk.count = count;
-    blocks.push_back(std::move(blk));
-  }
-  return blocks;
-}
-
-/// MISR signature of one (possibly faulty) run over the packed blocks.
-std::uint32_t run_signature(const ModuleNetlist& module,
-                            const std::vector<Block>& blocks, int fault_node,
-                            bool fault_value) {
-  const int width = module.width;
-  Misr sa(width);
-  for (const Block& blk : blocks) {
-    const auto out = module.eval(blk.a, blk.b, fault_node, fault_value);
-    for (int p = 0; p < blk.count; ++p) {
-      std::uint32_t word = 0;
-      for (int b = 0; b < width; ++b) {
-        if ((out[static_cast<std::size_t>(b)] >> p) & 1u) word |= 1u << b;
-      }
-      sa.absorb(word);
-    }
-  }
-  return sa.signature();
-}
-
-int cap_to_period(int patterns, int width) {
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-  if (static_cast<std::uint64_t>(patterns) > period) {
-    return static_cast<int>(period);
-  }
-  return patterns;
+  return detail;
 }
 
 }  // namespace
 
 CoverageResult simulate_gate_bist(const ModuleNetlist& module, int patterns,
                                   bool independent_tpgs) {
-  const int width = module.width;
-  patterns = cap_to_period(patterns, width);
-
-  Lfsr gen_a(width, 0x5);
-  Lfsr gen_b(width, independent_tpgs ? 0x13 : 0x5);
-  const std::vector<Block> blocks =
-      pack_session(gen_a, gen_b, patterns, width);
-
-  const std::uint32_t golden = run_signature(module, blocks, -1, false);
-  CoverageResult result;
-  for (const GateFault& f : enumerate_gate_faults(module.netlist)) {
-    ++result.total;
-    if (run_signature(module, blocks, f.node, f.stuck_one) != golden) {
-      ++result.detected;
-    }
-  }
-  return result;
+  return grade_gate_faults(module, TpgPair::generic(independent_tpgs),
+                           patterns)
+      .summary;
 }
 
 GateBistDetail simulate_gate_bist_seeded(const ModuleNetlist& module,
                                          std::uint32_t seed_a,
                                          std::uint32_t seed_b, int patterns) {
-  const int width = module.width;
-  patterns = cap_to_period(patterns, width);
-
-  Lfsr gen_a(width, seed_a);
-  Lfsr gen_b(width, seed_b);
-  const std::vector<Block> blocks =
-      pack_session(gen_a, gen_b, patterns, width);
-
-  GateBistDetail detail;
-  detail.golden_signature = run_signature(module, blocks, -1, false);
-  for (const GateFault& f : enumerate_gate_faults(module.netlist)) {
-    ++detail.summary.total;
-    if (run_signature(module, blocks, f.node, f.stuck_one) !=
-        detail.golden_signature) {
-      ++detail.summary.detected;
-    } else {
-      detail.undetected.push_back(f);
-    }
-  }
-  return detail;
+  return grade_gate_faults(module, TpgPair{seed_a, seed_b, false, false},
+                           patterns);
 }
 
 std::vector<int> fault_cone_inputs(const GateNetlist& netlist, int node) {
@@ -156,17 +82,11 @@ std::vector<int> fault_cone_inputs(const GateNetlist& netlist, int node) {
 
 bool pattern_detects_fault(const ModuleNetlist& module, std::uint32_t a,
                            std::uint32_t b, const GateFault& fault) {
-  const int width = module.width;
-  std::vector<std::uint64_t> a_bits(static_cast<std::size_t>(width), 0);
-  std::vector<std::uint64_t> b_bits(static_cast<std::size_t>(width), 0);
-  for (int bit = 0; bit < width; ++bit) {
-    if ((a >> bit) & 1u) a_bits[static_cast<std::size_t>(bit)] = 1;
-    if ((b >> bit) & 1u) b_bits[static_cast<std::size_t>(bit)] = 1;
-  }
+  const PackedBlock blk = pack_block({&a, 1}, {&b, 1}, module.width);
   // Only lane 0 carries the pattern; the other 63 lanes are a spurious
   // all-zeros stimulus and must not contribute to the verdict.
-  const auto golden = module.eval(a_bits, b_bits);
-  const auto faulty = module.eval(a_bits, b_bits, fault.node, fault.stuck_one);
+  const auto golden = module.eval(blk.a, blk.b);
+  const auto faulty = module.eval(blk.a, blk.b, fault.node, fault.stuck_one);
   for (std::size_t o = 0; o < golden.size(); ++o) {
     if (((golden[o] ^ faulty[o]) & 1u) != 0) return true;
   }

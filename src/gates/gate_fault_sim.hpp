@@ -1,7 +1,9 @@
 #pragma once
-// Gate-level stuck-at fault simulation under the BIST configuration:
-// maximal-length LFSRs drive both operand ports, a MISR compacts the
-// outputs, and every internal gate node is graded stuck-at-0/1.
+// Gate-level stuck-at fault simulation under the BIST configuration: the
+// gate fault universe of the session simulator (bist/session_sim.hpp).
+// Maximal-length LFSRs drive both operand ports, the netlist is evaluated
+// 64 clocks at a time, a MISR compacts the outputs, and every internal
+// gate node is graded stuck-at-0/1.
 //
 // Complements bist/fault_sim.hpp (port faults): the port model is
 // implementation-independent (the paper's working assumption), the gate
@@ -28,9 +30,9 @@ struct GateFault {
 [[nodiscard]] std::vector<GateFault> enumerate_gate_faults(
     const GateNetlist& netlist);
 
-/// Fault-simulates pseudo-random BIST of a gate-level module: LFSR
-/// patterns on A and B (distinct seeds unless `independent_tpgs` is
-/// false), MISR signature per run.  `patterns` is capped at one LFSR
+/// Fault-simulates pseudo-random BIST of a gate-level module under the
+/// generic TPG seeds (one sequence on both ports when `independent_tpgs`
+/// is false), MISR signature per run.  `patterns` is capped at one LFSR
 /// period.  Returns detected/total over all gate faults.
 [[nodiscard]] CoverageResult simulate_gate_bist(const ModuleNetlist& module,
                                                 int patterns,

@@ -1,108 +1,50 @@
 #include "gates/gate_selftest.hpp"
 
-#include <algorithm>
-
 #include "gates/gate_fault_sim.hpp"
 #include "support/check.hpp"
-#include "support/lfsr.hpp"
 
 namespace lbist {
 
-// Chip seed per register — must match bist/selftest.cpp so the emitted
-// hardware, the word-level engine and this grader agree on the stimulus.
-std::uint32_t chip_seed(std::size_t reg, int width) {
-  const std::uint32_t mask =
-      width == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << width) - 1);
-  const std::uint32_t seed =
-      (0x9E3779B9u * (static_cast<std::uint32_t>(reg) + 1)) & mask;
-  return seed == 0 ? 1 : seed;
-}
-
-namespace {
-
-/// Signature of one module-function session through the gate netlist.
-std::uint32_t session_signature(const ModuleNetlist& net,
-                                std::uint32_t seed_l, std::uint32_t seed_r,
-                                int patterns, int width, int fault_node,
-                                bool fault_value) {
-  Lfsr tl(width, seed_l);
-  Lfsr tr(width, seed_r);
-  Misr sa(width);
-  // Pack pattern blocks of up to 64 and evaluate in parallel.
-  for (int done = 0; done < patterns; done += 64) {
-    const int count = std::min(64, patterns - done);
-    std::vector<std::uint64_t> a_bits(static_cast<std::size_t>(width), 0);
-    std::vector<std::uint64_t> b_bits(static_cast<std::size_t>(width), 0);
-    for (int p = 0; p < count; ++p) {
-      const std::uint32_t a = tl.state();
-      const std::uint32_t b = tr.state();
-      for (int bit = 0; bit < width; ++bit) {
-        if ((a >> bit) & 1u) {
-          a_bits[static_cast<std::size_t>(bit)] |= std::uint64_t{1} << p;
-        }
-        if ((b >> bit) & 1u) {
-          b_bits[static_cast<std::size_t>(bit)] |= std::uint64_t{1} << p;
-        }
-      }
-      tl.step();
-      tr.step();
-    }
-    const auto out = net.eval(a_bits, b_bits, fault_node, fault_value);
-    for (int p = 0; p < count; ++p) {
-      std::uint32_t word = 0;
-      for (int bit = 0; bit < width; ++bit) {
-        if ((out[static_cast<std::size_t>(bit)] >> p) & 1u) {
-          word |= 1u << bit;
-        }
-      }
-      sa.absorb(word);
-    }
-  }
-  return sa.signature();
-}
-
-}  // namespace
-
-GateSelfTestResult run_gate_self_test(const Datapath& dp,
-                                      const BistSolution& solution,
-                                      int patterns, int width) {
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
-  if (static_cast<std::uint64_t>(patterns) > period) {
-    patterns = static_cast<int>(period);
-  }
-
-  GateSelfTestResult result;
+std::vector<GateGradedModule> gate_graded_modules(
+    const Datapath& dp, const BistSolution& solution, int width,
+    const std::string& grader) {
+  LBIST_CHECK(solution.embeddings.size() == dp.modules.size(),
+              grader + " grading: solution does not match the data path");
+  std::vector<GateGradedModule> modules;
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     if (!solution.embeddings[m].has_value()) continue;
     const BistEmbedding& e = *solution.embeddings[m];
     LBIST_CHECK(!e.uses_transparency(),
-                "gate-level grading of transparent paths is not supported");
-    const std::uint32_t seed_l = chip_seed(e.tpg_left, width);
-    const std::uint32_t seed_r = chip_seed(e.tpg_right, width);
-
-    GateSelfTestModule report;
-    report.module = m;
-
-    bool all_kinds_modeled = true;
+                grader + " grading of transparent paths is not supported");
+    GateGradedModule g;
+    g.module = m;
+    g.tpgs = TpgPair::chip(e, width);
     for (OpKind k : dp.modules[m].proto.supports) {
-      all_kinds_modeled = all_kinds_modeled && has_gate_level_model(k);
+      g.gate_level = g.gate_level && has_gate_level_model(k);
     }
-    if (!all_kinds_modeled) {
-      report.gate_level = false;
-      report.coverage =
-          simulate_module_bist(dp.modules[m].proto, width, patterns);
+    modules.push_back(g);
+  }
+  return modules;
+}
+
+GateSelfTestResult run_gate_self_test(const Datapath& dp,
+                                      const BistSolution& solution,
+                                      int patterns, int width) {
+  GateSelfTestResult result;
+  for (const GateGradedModule& g :
+       gate_graded_modules(dp, solution, width, "gate-level")) {
+    const ModuleProto& proto = dp.modules[g.module].proto;
+    GateSelfTestModule report{g.module, g.gate_level, {}};
+    if (!g.gate_level) {
+      report.coverage = simulate_module_bist(proto, width, patterns);
     } else {
-      for (OpKind k : dp.modules[m].proto.supports) {
-        const ModuleNetlist net = build_module(k, width);
-        const std::uint32_t golden = session_signature(
-            net, seed_l, seed_r, patterns, width, -1, false);
-        for (const GateFault& f : enumerate_gate_faults(net.netlist)) {
-          ++report.coverage.total;
-          if (session_signature(net, seed_l, seed_r, patterns, width,
-                                f.node, f.stuck_one) != golden) {
-            ++report.coverage.detected;
-          }
-        }
+      for (OpKind k : proto.supports) {
+        const CoverageResult c =
+            simulate_gate_bist_seeded(build_module(k, width), g.tpgs.left,
+                                      g.tpgs.right, patterns)
+                .summary;
+        report.coverage.total += c.total;
+        report.coverage.detected += c.detected;
       }
     }
     result.faults_injected += report.coverage.total;

@@ -10,7 +10,11 @@
 // structure, the number a test engineer would sign off.
 //
 // Modules without a gate model (dividers) are graded with the port-fault
-// model and reported separately.
+// model and reported separately.  That fallback is simulate_module_bist,
+// so it runs under the generic seeds, not the embedding's chip seeds.
+
+#include <string>
+#include <vector>
 
 #include "bist/allocator.hpp"
 #include "bist/fault_sim.hpp"
@@ -39,11 +43,22 @@ struct GateSelfTestResult {
   }
 };
 
-/// Chip seed of TPG register `reg` at `width` bits — the per-register
-/// power-on constant the emitted hardware, the word-level engine
-/// (bist/selftest.cpp), this grader and the hybrid session model all agree
-/// on.  Never zero (an all-zero LFSR state is absorbing).
-[[nodiscard]] std::uint32_t chip_seed(std::size_t reg, int width);
+/// One testable module as the gate-level graders walk the plan.
+struct GateGradedModule {
+  std::size_t module = 0;
+  TpgPair tpgs;  ///< the embedding's chip seeds
+  /// False when some function has no gate netlist (dividers): the module
+  /// is then graded with simulate_module_bist instead.
+  bool gate_level = true;
+};
+
+/// The walk run_gate_self_test and run_hybrid_session share: the plan's
+/// testable modules in index order.  Throws lbist::Error when the solution
+/// does not match the data path or an embedding uses a transparent path;
+/// `grader` names the caller in the message.
+[[nodiscard]] std::vector<GateGradedModule> gate_graded_modules(
+    const Datapath& dp, const BistSolution& solution, int width,
+    const std::string& grader);
 
 /// Grades every testable module of the solution at gate level, using the
 /// embedding's TPG registers (chip seeds) and a per-function MISR session,

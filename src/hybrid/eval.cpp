@@ -56,6 +56,13 @@ HybridConfig hybrid_config_from_json(const Json& j) {
   LBIST_CHECK(config.pr_patterns > 0, "pr_patterns must be positive");
   LBIST_CHECK(config.max_reseeds >= 0, "max_reseeds must be non-negative");
   LBIST_CHECK(config.reseed_burst > 0, "reseed_burst must be positive");
+  // The GA runs population x (generations + 1) gate sessions inline on a
+  // server shard loop; keep a posted config from asking for billions.
+  LBIST_CHECK(config.evolve.population >= 2 && config.evolve.population <= 64,
+              "evolve_population must be in 2..64");
+  LBIST_CHECK(
+      config.evolve.generations >= 0 && config.evolve.generations <= 64,
+      "evolve_generations must be in 0..64");
   return config;
 }
 

@@ -14,8 +14,9 @@ namespace lbist {
 /// Serializes a configuration (every field that affects the outcome).
 [[nodiscard]] Json hybrid_config_to_json(const HybridConfig& config);
 
-/// Inverse of hybrid_config_to_json; missing fields keep their defaults,
-/// unknown mode names throw lbist::Error.
+/// Inverse of hybrid_config_to_json; missing fields keep their defaults.
+/// Throws lbist::Error on an unknown mode name or an out-of-range field
+/// (evolve_population outside 2..64, evolve_generations outside 0..64).
 [[nodiscard]] HybridConfig hybrid_config_from_json(const Json& j);
 
 /// Serializes a session result (aggregates + per-module breakdown).

@@ -76,12 +76,6 @@ std::vector<HybridConfig> default_hybrid_configs(int patterns) {
 
 namespace {
 
-/// Clocks a `patterns`-long LFSR phase actually spends (period cap).
-long long phase_clocks(int patterns, int width) {
-  const long long period = (1LL << width) - 1;
-  return std::min<long long>(patterns, period);
-}
-
 /// Aggregated outcome of testing one module *function* (OpKind) under one
 /// configuration — the memoizable unit: it depends only on (kind, width,
 /// seeds, config), not on which datapath the module sits in.
@@ -125,9 +119,8 @@ KindOutcome compute_kind(OpKind kind, int width, std::uint32_t seed_l,
     auto span = trace_span(trace, "hybrid_pr");
     detail = simulate_gate_bist_seeded(net, sa, sb, cfg.pr_patterns);
     if (span.active()) {
-      span.arg("patterns",
-               static_cast<std::uint64_t>(phase_clocks(cfg.pr_patterns,
-                                                       width)));
+      span.arg("patterns", static_cast<std::uint64_t>(
+                               period_capped(cfg.pr_patterns, width)));
       span.arg("detected", static_cast<std::uint64_t>(
                                static_cast<std::uint32_t>(
                                    detail.summary.detected)));
@@ -136,7 +129,7 @@ KindOutcome compute_kind(OpKind kind, int width, std::uint32_t seed_l,
   out.total = detail.summary.total;
   out.pr = detail.summary.detected;
   out.hard = static_cast<int>(detail.undetected.size());
-  out.clocks = phase_clocks(cfg.pr_patterns, width);
+  out.clocks = period_capped(cfg.pr_patterns, width);
 
   std::vector<GateFault> remaining = detail.undetected;
   // Hard faults deferred past the reseed phase, with any pattern the seed
@@ -158,7 +151,7 @@ KindOutcome compute_kind(OpKind kind, int width, std::uint32_t seed_l,
         continue;
       }
       ++out.reseeds;
-      out.clocks += width + phase_clocks(cfg.reseed_burst, width);
+      out.clocks += width + period_capped(cfg.reseed_burst, width);
       const GateBistDetail burst =
           simulate_gate_bist_seeded(net, pat->a, pat->b, cfg.reseed_burst);
       std::set<int> burst_undetected;
@@ -254,8 +247,8 @@ HybridSessionResult run_hybrid_session(const Datapath& dp,
                                        const BistSolution& solution,
                                        const HybridConfig& config, int width,
                                        TraceRecorder* trace) {
-  LBIST_CHECK(solution.embeddings.size() == dp.modules.size(),
-              "hybrid session: solution does not match the data path");
+  const std::vector<GateGradedModule> modules =
+      gate_graded_modules(dp, solution, width, "hybrid");
   const TestSessionPlan plan = schedule_test_sessions(dp, solution);
 
   HybridSessionResult result;
@@ -263,44 +256,31 @@ HybridSessionResult run_hybrid_session(const Datapath& dp,
   std::vector<long long> session_clocks(
       static_cast<std::size_t>(std::max(plan.num_sessions, 0)), 0);
 
-  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    if (!solution.embeddings[m].has_value()) continue;
-    const BistEmbedding& e = *solution.embeddings[m];
-    LBIST_CHECK(!e.uses_transparency(),
-                "hybrid grading of transparent paths is not supported");
-
+  for (const GateGradedModule& g : modules) {
     auto span = trace_span(trace, "hybrid_module");
     if (span.active()) {
-      span.arg("module", static_cast<std::uint64_t>(m));
+      span.arg("module", static_cast<std::uint64_t>(g.module));
       span.arg("config", config.name);
     }
 
+    const ModuleProto& proto = dp.modules[g.module].proto;
     ModuleHybridResult report;
-    report.module = m;
-
-    bool all_kinds_modeled = true;
-    for (OpKind k : dp.modules[m].proto.supports) {
-      all_kinds_modeled = all_kinds_modeled && has_gate_level_model(k);
-    }
-    if (!all_kinds_modeled) {
+    report.module = g.module;
+    report.gate_level = g.gate_level;
+    if (!g.gate_level) {
       // Port-fault fallback (dividers): pseudo-random only — reseeding
       // needs the gate netlist to target specific faults.
-      report.gate_level = false;
       const CoverageResult cov =
-          simulate_module_bist(dp.modules[m].proto, width,
-                               config.pr_patterns);
+          simulate_module_bist(proto, width, config.pr_patterns);
       report.faults_total = cov.total;
       report.detected_pr = cov.detected;
       report.hard_faults = cov.total - cov.detected;
-      report.test_clocks =
-          static_cast<long long>(dp.modules[m].proto.supports.size()) *
-          phase_clocks(config.pr_patterns, width);
+      report.test_clocks = static_cast<long long>(proto.supports.size()) *
+                           period_capped(config.pr_patterns, width);
     } else {
-      const std::uint32_t seed_l = chip_seed(e.tpg_left, width);
-      const std::uint32_t seed_r = chip_seed(e.tpg_right, width);
-      for (OpKind k : dp.modules[m].proto.supports) {
-        const KindOutcome out =
-            compute_kind_cached(k, width, seed_l, seed_r, config, trace);
+      for (OpKind k : proto.supports) {
+        const KindOutcome out = compute_kind_cached(
+            k, width, g.tpgs.left, g.tpgs.right, config, trace);
         report.faults_total += out.total;
         report.detected_pr += out.pr;
         report.detected_reseed += out.reseed;
@@ -319,7 +299,7 @@ HybridSessionResult run_hybrid_session(const Datapath& dp,
                static_cast<std::uint64_t>(report.test_clocks));
     }
 
-    const int s = plan.session_of[m];
+    const int s = plan.session_of[g.module];
     if (s >= 0) {
       session_clocks[static_cast<std::size_t>(s)] =
           std::max(session_clocks[static_cast<std::size_t>(s)],

@@ -5,8 +5,9 @@
 //
 //   PR      The allocated TPG registers run from their chip seeds for
 //           `pr_patterns` clocks (period-capped), MISR per module function
-//           — exactly the scheme gate_selftest grades, so mode
-//           PseudoRandom reproduces today's coverage numbers.
+//           — the session simulator's gate fault universe, walked over the
+//           plan exactly as run_gate_self_test walks it, so mode
+//           PseudoRandom reproduces its coverage numbers.
 //   Reseed  Each fault left undetected ("hard") gets a deterministic seed
 //           search (hybrid/reseed.hpp); a hit costs one scan load (width
 //           clocks) plus a `reseed_burst`-clock burst that often picks up
@@ -15,7 +16,8 @@
 //           single deterministic scan patterns (width + 1 clocks each).
 //
 // Modules without a gate-level model (dividers) fall back to the
-// port-fault model and are never reseeded.  Concurrency follows the
+// port-fault model (simulate_module_bist, under the generic seeds) and are
+// never reseeded.  Concurrency follows the
 // allocator's session plan: the total test length is the sum over test
 // sessions of the longest member module's clocks.
 

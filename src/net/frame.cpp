@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cstring>
 
 namespace lbist::net {
 
@@ -37,6 +38,20 @@ bool LineFramer::finish(std::string* out) {
   buffer_.clear();
   scanned_ = 0;
   if (!out->empty() && out->back() == '\r') out->pop_back();
+  return true;
+}
+
+bool recv_line(int fd, LineFramer& framer, std::string* out) {
+  char chunk[4096];
+  while (!framer.next(out)) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw Error(std::string("recv: ") + std::strerror(errno));
+    }
+    if (n == 0) return framer.finish(out);
+    framer.feed(chunk, static_cast<std::size_t>(n));
+  }
   return true;
 }
 

@@ -4,9 +4,10 @@
 // LineFramer is the read half: an incremental newline-delimited frame
 // decoder.  The shard feeds it whatever recv() returned — a frame split
 // across any number of reads, or many frames in one read — and pops
-// complete lines.  A line larger than the bound throws lbist::Error with
-// the same "request line exceeds N bytes" message the thread-per-
-// connection server used, so clients see identical protocol errors.
+// complete lines; recv_line wraps it in a blocking recv loop for clients.
+// A line larger than the bound throws lbist::Error with the same "request
+// line exceeds N bytes" message the thread-per-connection server used, so
+// clients see identical protocol errors.
 //
 // OutboundBuffer is the write half: a bounded pending-bytes queue with
 // explicit backpressure.  Workers append response lines; the shard
@@ -50,6 +51,12 @@ class LineFramer {
   std::string buffer_;
   std::size_t scanned_ = 0;  ///< prefix already known to hold no '\n'
 };
+
+/// Blocking read of the next line from `fd` through `framer`, for client
+/// code on a blocking socket.  Returns false at end-of-stream once a final
+/// unterminated line, if any, has been delivered.  Throws Error on a recv
+/// failure or an oversized line.
+[[nodiscard]] bool recv_line(int fd, LineFramer& framer, std::string* out);
 
 class OutboundBuffer {
  public:

@@ -1,8 +1,13 @@
 #pragma once
-// Owning POSIX socket fd plus the tiny fd-mode helpers the event-driven
-// transport needs.  This is the bottom of the networking stack: the epoll
-// loop (net/event_loop.hpp), the SO_REUSEPORT listener (net/listener.hpp)
-// and the blocking client-side wrappers (server/net.hpp) all build on it.
+// Owning POSIX socket fd plus the tiny fd helpers the transport needs.
+// This is the bottom of the networking stack: the epoll loop
+// (net/event_loop.hpp), the SO_REUSEPORT listener (net/listener.hpp) and
+// the blocking client side (connect_to, send_all, net::recv_line) all
+// build on it.
+
+#include <cstdint>
+#include <string>
+#include <string_view>
 
 #include "support/check.hpp"
 
@@ -40,5 +45,12 @@ class Socket {
 
 /// Switches the descriptor into non-blocking mode; throws Error on failure.
 void set_nonblocking(int fd);
+
+/// Blocking connect to host:port (host is a dotted-quad or "localhost").
+[[nodiscard]] Socket connect_to(const std::string& host, std::uint16_t port);
+
+/// Writes the whole buffer on a blocking socket (MSG_NOSIGNAL, so a
+/// vanished peer is an Error rather than SIGPIPE); throws Error on failure.
+void send_all(int fd, std::string_view data);
 
 }  // namespace lbist::net

@@ -467,7 +467,7 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
       reply.set("status", Json::string("ok"))
           .set("pass", Json::string(name->as_string()))
           .set("snapshot", std::move(out));
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       reply.set("status", Json::string("error"))
           .set("error", Json::string(e.what()));
     }
@@ -500,7 +500,7 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
       metrics_.counter("requests_hybrid").inc();
       reply.set("status", Json::string("ok"))
           .set("hybrid", std::move(out));
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {
       reply.set("status", Json::string("error"))
           .set("error", Json::string(e.what()));
     }

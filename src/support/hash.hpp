@@ -4,6 +4,8 @@
 // logs/reports use it as a short fingerprint.  FNV-1a is deliberately
 // simple — keys are compared by full string everywhere, so the hash only
 // needs to be stable across platforms and runs, never collision-proof.
+// Also here: splitmix64, the deterministic stream the metrics reservoir,
+// the reseed probe phase and the evolved-seed GA draw from.
 
 #include <cstdint>
 #include <string_view>
@@ -18,6 +20,14 @@ namespace lbist {
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// splitmix64: advances `state` and returns the next 64-bit draw.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
 }
 
 }  // namespace lbist

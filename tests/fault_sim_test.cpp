@@ -2,19 +2,100 @@
 // must actually detect port faults, coverage must grow with pattern count,
 // and the degenerate one-TPG configuration must demonstrably underperform —
 // the experimental backing for the tpg_left != tpg_right embedding rule.
+// Also the paper's premise as a test: port-fault grading equals grading
+// the boundary faults of every gate netlist.
 
 #include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
 
 #include "bist/fault_sim.hpp"
 #include "bist/test_length.hpp"
 #include "bist/test_plan.hpp"
 #include "core/compare.hpp"
 #include "dfg/benchmarks.hpp"
+#include "gates/gate_fault_sim.hpp"
 
 namespace lbist {
 namespace {
 
 constexpr int kWidth = 8;
+
+// ---- The paper's premise ------------------------------------------------
+
+/// `module` with one Buf appended per output, so each output bit is its own
+/// fault site (a comparator's upper result bits share one constant node).
+ModuleNetlist with_output_buffers(const ModuleNetlist& module) {
+  ModuleNetlist out;
+  out.width = module.width;
+  out.a = module.a;
+  out.b = module.b;
+  const GateNetlist& src = module.netlist;
+  for (std::size_t i = 0; i < src.num_nodes(); ++i) {
+    const GateNode& n = src.node(i);
+    if (n.kind == GateKind::Input) {
+      out.netlist.add_input();
+    } else if (n.kind == GateKind::Const0 || n.kind == GateKind::Const1) {
+      out.netlist.add_const(n.kind == GateKind::Const1);
+    } else {
+      out.netlist.add_gate(n.kind, n.fanin0, n.fanin1);
+    }
+  }
+  for (int o : src.outputs()) {
+    out.netlist.mark_output(out.netlist.add_gate(GateKind::Buf, o));
+  }
+  return out;
+}
+
+// "The mapping of registers to TPGs and SAs is independent of the function
+// and the gate-level implementation of the operator modules": a port fault
+// graded word-level is detected exactly when the same stuck-at on the
+// netlist's boundary (an input node or an output buffer) is detected by
+// the same session.  Checked fault by fault for every kind with a netlist.
+TEST(PortModel, PortFaultsMatchNetlistBoundaryFaults) {
+  for (const int width : {4, 8}) {
+    const std::vector<StuckFault> faults = enumerate_port_faults(width);
+    for (const TpgPair& tpgs :
+         {TpgPair::generic(),
+          TpgPair{chip_seed(0, width), chip_seed(1, width), false, false},
+          TpgPair{chip_seed(2, width), chip_seed(5, width), false, false}}) {
+      for (OpKind kind : {OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Lt,
+                          OpKind::Gt, OpKind::And, OpKind::Or,
+                          OpKind::Xor}) {
+        ASSERT_TRUE(has_gate_level_model(kind));
+        const ModuleNetlist net =
+            with_output_buffers(build_module(kind, width));
+        const std::size_t first_buffer =
+            net.netlist.num_nodes() - static_cast<std::size_t>(width);
+        std::set<std::pair<int, bool>> gate_undetected;
+        for (const GateFault& g :
+             simulate_gate_bist_seeded(net, tpgs.left, tpgs.right, 250)
+                 .undetected) {
+          gate_undetected.emplace(g.node, g.stuck_one);
+        }
+        const SessionGrade port =
+            grade_port_faults({kind}, tpgs, 250, width);
+        const std::set<int> port_undetected(port.undetected.begin(),
+                                            port.undetected.end());
+        for (std::size_t f = 0; f < faults.size(); ++f) {
+          const StuckFault& pf = faults[f];
+          const auto bit = static_cast<std::size_t>(pf.bit);
+          const int node =
+              pf.site == StuckFault::Site::LeftPort    ? net.a[bit]
+              : pf.site == StuckFault::Site::RightPort ? net.b[bit]
+                  : static_cast<int>(first_buffer + bit);
+          EXPECT_EQ(port_undetected.count(static_cast<int>(f)),
+                    gate_undetected.count({node, pf.stuck_one}))
+              << symbol(kind) << " width " << width << " seeds " << tpgs.left
+              << "/" << tpgs.right << " site "
+              << static_cast<int>(pf.site) << " bit " << pf.bit
+              << (pf.stuck_one ? " s-a-1" : " s-a-0");
+        }
+      }
+    }
+  }
+}
 
 TEST(FaultModel, EnumeratesSixPerBit) {
   auto faults = enumerate_port_faults(kWidth);

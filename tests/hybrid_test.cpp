@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "binding/module_spec.hpp"
@@ -83,19 +84,32 @@ TEST(HybridReseed, SearchIsDeterministic) {
 // ---- Session model -------------------------------------------------------
 
 TEST(HybridSession, PseudoRandomModeReproducesGateSelfTest) {
-  const auto row = compare_benchmark(make_ex1());
-  const GateSelfTestResult gate =
-      run_gate_self_test(row.testable.datapath, row.testable.bist, 250,
-                         kWidth);
   HybridConfig pr;
   pr.mode = HybridMode::PseudoRandom;
   pr.pr_patterns = 250;
-  const HybridSessionResult hybrid = run_hybrid_session(
-      row.testable.datapath, row.testable.bist, pr, kWidth);
-  EXPECT_EQ(hybrid.faults_total, gate.faults_injected);
-  EXPECT_EQ(hybrid.faults_detected, gate.faults_detected);
-  EXPECT_EQ(hybrid.reseeds_used, 0);
-  EXPECT_EQ(hybrid.topups_used, 0);
+  for (const auto& row : compare_paper_benchmarks()) {
+    for (const SynthesisResult* arm : {&row.testable, &row.traditional}) {
+      const std::string label =
+          row.name + (arm == &row.testable ? " bist" : " trad");
+      const GateSelfTestResult gate =
+          run_gate_self_test(arm->datapath, arm->bist, 250, kWidth);
+      const HybridSessionResult hybrid =
+          run_hybrid_session(arm->datapath, arm->bist, pr, kWidth);
+      EXPECT_EQ(hybrid.faults_total, gate.faults_injected) << label;
+      EXPECT_EQ(hybrid.faults_detected, gate.faults_detected) << label;
+      EXPECT_EQ(hybrid.reseeds_used, 0) << label;
+      EXPECT_EQ(hybrid.topups_used, 0) << label;
+      ASSERT_EQ(hybrid.modules.size(), gate.modules.size()) << label;
+      for (std::size_t i = 0; i < gate.modules.size(); ++i) {
+        EXPECT_EQ(hybrid.modules[i].module, gate.modules[i].module) << label;
+        EXPECT_EQ(hybrid.modules[i].gate_level, gate.modules[i].gate_level)
+            << label;
+        EXPECT_EQ(hybrid.modules[i].detected(),
+                  gate.modules[i].coverage.detected)
+            << label;
+      }
+    }
+  }
 }
 
 // The headline property: on every paper benchmark, reseed+topup at a
@@ -259,6 +273,32 @@ TEST(HybridEval, ConfigRoundTripsThroughJson) {
   EXPECT_THROW(hybrid_config_from_json(
                    Json::object().set("pr_patterns", Json::number(0))),
                Error);
+  // The GA's size is bounded so a posted config cannot ask the server for
+  // billions of gate sessions; the error names the field.
+  auto rejects = [](const char* field, double value) {
+    try {
+      (void)hybrid_config_from_json(
+          Json::object().set(field, Json::number(value)));
+    } catch (const Error& e) {
+      return std::string(e.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects("evolve_population", 2147483647));
+  EXPECT_TRUE(rejects("evolve_population", 65));
+  EXPECT_TRUE(rejects("evolve_population", 1));
+  EXPECT_TRUE(rejects("evolve_generations", 65));
+  EXPECT_TRUE(rejects("evolve_generations", -1));
+  for (const auto& [population, generations] :
+       {std::pair{64, 0}, std::pair{2, 64}}) {
+    HybridConfig edge;
+    edge.evolve.population = population;
+    edge.evolve.generations = generations;
+    const Json edge_json = hybrid_config_to_json(edge);
+    EXPECT_EQ(
+        hybrid_config_to_json(hybrid_config_from_json(edge_json)).dump(),
+        edge_json.dump());
+  }
 }
 
 TEST(HybridEval, EvaluateStoresReportInAuxAndSnapshotCarriesIt) {

@@ -21,7 +21,6 @@
 #include "net/frame.hpp"
 #include "net/listener.hpp"
 #include "net/socket.hpp"
-#include "server/net.hpp"
 #include "server/server.hpp"
 #include "support/json.hpp"
 
@@ -275,10 +274,10 @@ TEST(ServerTransport, HalfClosedClientStillReceivesResponses) {
                 "{\"type\":\"health\"}\n{\"type\":\"metrics\"}\n");
   sock.shutdown_write();
 
-  net::LineReader reader(sock.fd());
+  net::LineFramer framer;
   std::vector<std::string> lines;
   std::string line;
-  while (reader.read_line(&line)) lines.push_back(line);
+  while (net::recv_line(sock.fd(), framer, &line)) lines.push_back(line);
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(Json::parse(lines[0]).at("type").as_string(), "health");
   EXPECT_EQ(Json::parse(lines[1]).at("type").as_string(), "metrics");
@@ -297,11 +296,11 @@ TEST(ServerTransport, UnterminatedFinalRequestIsServed) {
   net::send_all(sock.fd(), "{\"type\":\"health\"}");  // no '\n'
   sock.shutdown_write();
 
-  net::LineReader reader(sock.fd());
+  net::LineFramer framer;
   std::string line;
-  ASSERT_TRUE(reader.read_line(&line));
+  ASSERT_TRUE(net::recv_line(sock.fd(), framer, &line));
   EXPECT_EQ(Json::parse(line).at("status").as_string(), "ok");
-  EXPECT_FALSE(reader.read_line(&line));
+  EXPECT_FALSE(net::recv_line(sock.fd(), framer, &line));
   server.stop();
 }
 

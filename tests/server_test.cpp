@@ -461,6 +461,49 @@ TEST(ServerEndToEnd, HybridRequestEvaluatesAndCaches) {
             std::string::npos);
 }
 
+// A hybrid config asking for a 2^31-candidate GA is refused with an error
+// naming the field, and the shard goes on answering the same connection.
+// Unbounded, such a request dies in pop.reserve with an uncaught
+// std::bad_alloc or runs ~2^31 gate sessions on the shard loop.
+TEST(ServerEndToEnd, OversizedEvolveConfigIsRejectedAndShardStaysUp) {
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), SynthesisOptions{});
+  const PassPipeline& pipeline = PassPipeline::standard();
+  pipeline.run(state, pipeline.index_of("binding") + 1);
+  const std::string request =
+      Json::object()
+          .set("type", Json::string("hybrid"))
+          .set("config",
+               Json::object()
+                   .set("mode", Json::string("evolved"))
+                   .set("evolve_population", Json::number(2147483647)))
+          .set("snapshot", pipeline.snapshot(state))
+          .dump_compact() +
+      "\n{\"type\": \"health\"}\n";
+
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  ASSERT_EQ(summary.responses, 2);
+  std::istringstream lines(out.str());
+  std::string first, second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const Json rejected = Json::parse(first);
+  EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
+  EXPECT_EQ(rejected.at("status").as_string(), "error");
+  EXPECT_NE(rejected.at("error").as_string().find("evolve_population"),
+            std::string::npos);
+  const Json health = Json::parse(second);
+  EXPECT_EQ(health.at("type").as_string(), "health");
+  EXPECT_EQ(health.at("status").as_string(), "ok");
+}
+
 // The health reply carries the build record so clients can detect
 // server/client version skew before posting snapshots.
 TEST(ServerEndToEnd, HealthReplyCarriesBuildInfo) {
