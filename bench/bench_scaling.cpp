@@ -6,7 +6,9 @@
 //
 // The large tier is the CI perf gate: it emits one row per size into
 // BENCH_scaling.json (bench/bench_json.hpp) which tools/check_bench.py
-// compares against bench/baselines/BENCH_scaling.json.
+// compares against bench/baselines/BENCH_scaling.json.  Each row's
+// wall_ms is the median of kLargeTierRuns syntheses: one sample of the
+// 1k row spread wider than the gate's 25 % on a shared 4-vCPU VM.
 //
 // Flags (ours, stripped before google-benchmark sees argv):
 //   --scaling-only   run only the large tier + JSON artifact (CI gate mode)
@@ -16,6 +18,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <iostream>
@@ -110,6 +113,8 @@ RandomDfgOptions large_opts(int ops) {
   return o;
 }
 
+constexpr int kLargeTierRuns = 5;
+
 void run_large_tier(const std::vector<int>& sizes,
                     benchjson::BenchJson& bj) {
   TextTable t({"ops", "#vars", "#regs", "#mux", "%BIST", "wall ms"});
@@ -122,12 +127,18 @@ void run_large_tier(const std::vector<int>& sizes,
     so.binder = BinderKind::BistAware;
     so.lifetime.hold_outputs_to_end = false;
 
-    const auto t0 = std::chrono::steady_clock::now();
-    Synthesizer synth(so);
-    const SynthesisResult res = synth.run(rd.dfg, rd.schedule, protos);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    std::vector<double> samples;
+    SynthesisResult res;
+    for (int run = 0; run < kLargeTierRuns; ++run) {
+      const auto t0 = std::chrono::steady_clock::now();
+      res = Synthesizer(so).run(rd.dfg, rd.schedule, protos);
+      const auto t1 = std::chrono::steady_clock::now();
+      samples.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+    }
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    const double ms = sorted[sorted.size() / 2];
 
     t.add_row({std::to_string(ops), std::to_string(rd.dfg.num_vars()),
                std::to_string(res.num_registers()),
@@ -137,7 +148,7 @@ void run_large_tier(const std::vector<int>& sizes,
     std::cerr << "large tier: " << ops << " ops -> " << fmt_double(ms, 1)
               << " ms (" << res.num_registers() << " regs)" << std::endl;
     bj.add("random_" + std::to_string(ops),
-           std::to_string(ops) + " ops, seed 424242", {ms},
+           std::to_string(ops) + " ops, seed 424242", samples,
            Json::object()
                .set("ops", Json::number(static_cast<std::int64_t>(ops)))
                .set("vars", Json::number(static_cast<std::int64_t>(

@@ -289,10 +289,14 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     say("assign " + dfg.var(var).name + " -> R" + std::to_string(chosen + 1) +
         " (dSD=" + std::to_string(gained) + ")");
     if (events != nullptr) {
+      // A counters-only sink discards the candidate set; skip the
+      // O(regs) copy.
       std::vector<SdCandidate> cands;
-      cands.reserve(feasible.size());
-      for (std::size_t r : feasible) {
-        cands.push_back(SdCandidate{r, dsd[r]});
+      if (events->recording()) {
+        cands.reserve(feasible.size());
+        for (std::size_t r : feasible) {
+          cands.push_back(SdCandidate{r, dsd[r]});
+        }
       }
       events->assign(dfg.var(var).name, chosen, gained,
                      /*new_register=*/false, cands);

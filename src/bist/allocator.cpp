@@ -1,6 +1,7 @@
 #include "bist/allocator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
@@ -150,6 +151,68 @@ bool area_flag_monotone(const AreaModel& model) {
          bilbo <= cbilbo;
 }
 
+BistRole role_in(const StateKey& state, std::size_t reg) {
+  return RoleFlags::decode(static_cast<std::uint8_t>(state[reg])).role();
+}
+
+/// Keep counts of the greedy scan's role filter (see solve_greedy_impl):
+/// one more than the registers a replacement option may have to avoid.
+constexpr int kKeepTpg = 4;        // other TPG, its via register, the SA
+constexpr int kKeepCbilboTpg = 3;  // other TPG and its via register
+constexpr int kKeepDest = 5;       // both TPGs and both via registers
+constexpr std::size_t kRoles = static_cast<std::size_t>(BistRole::Cbilbo) + 1;
+
+/// Shortens `opts` to the options the greedy scan needs under `state`:
+/// per port, the first kKeepTpg direct options of each current role, the
+/// first kKeepCbilboTpg of each role that are also destinations, and every
+/// transparent option; per role, the first kKeepDest destinations, plus
+/// every destination that is the register of a kept TPG option.
+void keep_role_representatives(EmbeddingOptions& opts,
+                               const StateKey& state) {
+  auto trim_port = [&](std::vector<TpgOption>& port) {
+    std::array<int, kRoles> seen{};
+    std::array<int, kRoles> seen_dest{};
+    std::size_t kept = 0;
+    for (const TpgOption& o : port) {
+      bool keep = o.through.has_value();
+      if (!keep) {
+        const auto role = static_cast<std::size_t>(role_in(state, o.reg));
+        keep = seen[role]++ < kKeepTpg;
+        if (std::binary_search(opts.dests.begin(), opts.dests.end(),
+                               o.reg) &&
+            seen_dest[role]++ < kKeepCbilboTpg) {
+          keep = true;
+        }
+      }
+      if (keep) port[kept++] = o;
+    }
+    port.resize(kept);
+  };
+  trim_port(opts.left);
+  trim_port(opts.right);
+
+  // Registers of the kept TPG options, sorted; built only once some role
+  // has more than kKeepDest destinations (small designs never pay for it).
+  std::vector<std::size_t> tpg_regs;
+  auto is_kept_tpg = [&](std::size_t reg) {
+    if (tpg_regs.empty()) {
+      for (const TpgOption& o : opts.left) tpg_regs.push_back(o.reg);
+      for (const TpgOption& o : opts.right) tpg_regs.push_back(o.reg);
+      std::sort(tpg_regs.begin(), tpg_regs.end());
+    }
+    return std::binary_search(tpg_regs.begin(), tpg_regs.end(), reg);
+  };
+  std::array<int, kRoles> seen{};
+  std::size_t kept = 0;
+  for (std::size_t reg : opts.dests) {
+    const auto role = static_cast<std::size_t>(role_in(state, reg));
+    if (seen[role]++ < kKeepDest || is_kept_tpg(reg)) {
+      opts.dests[kept++] = reg;
+    }
+  }
+  opts.dests.resize(kept);
+}
+
 std::vector<BistRole> roles_of(const StateKey& state) {
   std::vector<BistRole> roles;
   roles.reserve(state.size());
@@ -232,10 +295,10 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
   // DP states are one role byte per register and embedding lists are the
   // cross product of port fan-ins, so past a few hundred registers the
   // exact search would burn gigabytes before the inevitable frontier
-  // bail.  Go straight to the streaming greedy allocator instead.
+  // bail.  Go straight to the greedy allocator instead.
   if (nregs > exact_max_regs) {
     if (events != nullptr) events->bist_greedy_fallback();
-    return solve_greedy_impl(dp, events);
+    return solve_greedy_impl(dp, /*emit_roles=*/true);
   }
 
   // Pre-enumerate embeddings; record untestable modules.
@@ -257,7 +320,7 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
   const bool prune = area_flag_monotone(model_);
   double incumbent = 0.0;
   if (prune) {
-    const BistSolution greedy = solve_greedy_impl(dp, nullptr);
+    const BistSolution greedy = solve_greedy_impl(dp, /*emit_roles=*/false);
     incumbent = greedy.extra_area;
   }
   constexpr double kAreaSlack = 1e-6;  // guards incremental-sum rounding
@@ -298,7 +361,7 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
             // memory long before it completes on large designs.
             if (next.size() > max_frontier) {
               if (events != nullptr) events->bist_greedy_fallback();
-              return solve_greedy_impl(dp, events);
+              return solve_greedy_impl(dp, /*emit_roles=*/true);
             }
           }
         }
@@ -364,39 +427,70 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
 }
 
 BistSolution BistAllocator::solve_greedy(const Datapath& dp) const {
-  return solve_greedy_impl(dp, events);
+  return solve_greedy_impl(dp, /*emit_roles=*/true);
 }
 
-BistSolution BistAllocator::solve_greedy_impl(
-    const Datapath& dp, AlgorithmEvents* emit_events) const {
+BistSolution BistAllocator::solve_greedy_impl(const Datapath& dp,
+                                              bool emit_roles) const {
   const std::size_t nregs = dp.registers.size();
   StateKey state(nregs, '\0');
 
+  // Each module takes the first embedding, in enumeration order, of least
+  // (Δarea, ΔCBILBO, Δmodified).  The scan walks shortened option lists
+  // (keep_role_representatives) and finds the very embedding the full
+  // |left| x |right| x |dests| product would, for any AreaModel and either
+  // enumerator.  delta_of depends only on the current roles of the at
+  // most three registers an embedding touches and on whether the SA is
+  // one of the TPGs; the via registers only constrain validity.  Suppose
+  // the first optimal embedding E used a dropped option.  Then an earlier
+  // option of the same role, valid beside E's other two choices, yields
+  // an embedding with the same delta that comes earlier in the order — a
+  // contradiction:
+  //   * a dropped direct TPG option has kKeepTpg earlier direct options of
+  //     its role; a replacement must differ from the other TPG, that
+  //     TPG's via register and the SA, at most three registers;
+  //   * if the SA is that TPG (CBILBO), the replacement must itself be a
+  //     destination and differ only from the other TPG and its via
+  //     register: kKeepCbilboTpg earlier such options suffice;
+  //   * a dropped destination has kKeepDest earlier destinations of its
+  //     role; a replacement must differ from both TPGs and both via
+  //     registers.  A destination that is also a TPG (the CBILBO case) is
+  //     kept with its TPG option;
+  //   * transparent options are never dropped.
+  // Replacing one option keeps the other two in place, so the replacement
+  // comes earlier: the order is lexicographic in (left, right, dest).
+  // The first minimum of the shortened scan is therefore the first
+  // minimum of the full one.  This needs a strict order on deltas, so
+  // area coefficients must be finite.  The exact branch-and-bound keeps
+  // the full lists: there, two embeddings with equal roles lead to
+  // different states.
+  //
   // A zero marginal cost cannot be beaten when role flags only accumulate
   // and the model is flag-monotone (every delta component is then >= 0),
   // so the scan of a module may stop at the first such embedding.
   const bool can_cut = area_flag_monotone(model_);
   constexpr std::tuple<double, int, int> kZero{0.0, 0, 0};
+  const std::vector<TransparentIPath> transparent =
+      use_transparent_paths ? transparent_ipaths(dp)
+                            : std::vector<TransparentIPath>{};
 
   BistSolution sol;
   sol.exact = false;
   sol.embeddings.assign(dp.modules.size(), std::nullopt);
+  std::uint64_t scanned = 0;
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     std::optional<BistEmbedding> best_emb;
     std::tuple<double, int, int> best_delta{0, 0, 0};
-    auto scan = [&](const BistEmbedding& e) {
+    EmbeddingOptions options = embedding_options(dp, m, transparent);
+    keep_role_representatives(options, state);
+    scanned += visit_embeddings(options, [&](const BistEmbedding& e) {
       const auto d = delta_of(state, e, model_);
       if (!best_emb.has_value() || d < best_delta) {
         best_delta = d;
         best_emb = e;
       }
       return !(can_cut && best_delta == kZero);
-    };
-    if (use_transparent_paths) {
-      for_each_embedding_extended(dp, m, scan);
-    } else {
-      for_each_embedding(dp, m, scan);
-    }
+    });
     if (!best_emb.has_value()) {
       sol.untestable_modules.push_back(m);
       continue;
@@ -406,7 +500,8 @@ BistSolution BistAllocator::solve_greedy_impl(
   }
   sol.roles = roles_of(state);
   sol.extra_area = std::get<0>(cost_of(state, model_));
-  emit_role_events(emit_events, sol.roles);
+  if (events != nullptr) events->bist_embeddings_scanned(scanned);
+  if (emit_roles) emit_role_events(events, sol.roles);
   return sol;
 }
 

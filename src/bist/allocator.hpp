@@ -14,10 +14,16 @@
 // an admissible lower bound and strictly-worse states are cut without
 // losing exactness.  If the surviving frontier still exceeds a cap — or
 // the design has more registers than `exact_max_regs`, which makes every
-// DP state itself large — the allocator falls back to the greedy solver,
-// which streams the embedding space without materializing it.  Objective
-// is lexicographic: minimal extra area, then fewest CBILBOs, then fewest
-// modified registers.
+// DP state itself large — the allocator falls back to the greedy solver.
+// Objective is lexicographic: minimal extra area, then fewest CBILBOs,
+// then fewest modified registers.
+//
+// The greedy solver gives each module, in order, the first embedding of
+// least marginal cost.  Since that cost depends only on the current roles
+// of the touched registers, it scans only a few registers of each role per
+// port (O(fan-in) per module) and still picks the embedding the full
+// |left| x |right| x |dests| product would; the argument is at
+// `solve_greedy_impl`.
 
 #include <optional>
 #include <string>
@@ -76,9 +82,9 @@ class BistAllocator {
   /// `max_frontier` surviving states or `exact_max_regs` registers.
   [[nodiscard]] BistSolution solve(const Datapath& dp) const;
 
-  /// Greedy: modules in order, each takes its locally cheapest embedding.
-  /// Streams the embedding space (nothing materialized) so it stays flat
-  /// in memory at any design size.
+  /// Greedy: modules in order, each takes its locally cheapest embedding
+  /// (the first in enumeration order).  Scans a few options per role and
+  /// port, so it costs O(fan-in) per module at any design size.
   [[nodiscard]] BistSolution solve_greedy(const Datapath& dp) const;
 
   /// Frontier cap for the exact DP (states per module level).
@@ -88,7 +94,7 @@ class BistAllocator {
   /// per register, so frontier memory and hashing cost scale with the
   /// register count; past this many registers the search would burn
   /// seconds and gigabytes before the inevitable `max_frontier` bail, so
-  /// `solve` goes straight to the streaming greedy allocator instead.
+  /// `solve` goes straight to the greedy allocator instead.
   /// Paper benchmarks and fuzz shapes sit far below this cap.
   std::size_t exact_max_regs = 192;
 
@@ -102,17 +108,17 @@ class BistAllocator {
   /// every area-optimal final state, so leave off for very large designs.
   bool minimize_sessions = false;
 
-  /// If non-null, receives per-register role assignments and greedy-fallback
-  /// notifications (obs/events.hpp).  Borrowed, not owned.
+  /// If non-null, receives per-register role assignments, greedy-fallback
+  /// notifications and the greedy scan's embedding count
+  /// (obs/events.hpp).  Borrowed, not owned.
   AlgorithmEvents* events = nullptr;
 
  private:
-  /// Greedy scan streaming embeddings straight off the datapath (nothing
-  /// is materialized, so it is safe at any scale); `emit_events` may be
-  /// null (used when the greedy pass only seeds the branch-and-bound
-  /// incumbent).
-  [[nodiscard]] BistSolution solve_greedy_impl(
-      const Datapath& dp, AlgorithmEvents* emit_events) const;
+  /// The greedy scan.  `emit_roles` is false when it only seeds the
+  /// branch-and-bound incumbent; the embedding count is published either
+  /// way.
+  [[nodiscard]] BistSolution solve_greedy_impl(const Datapath& dp,
+                                               bool emit_roles) const;
 
   AreaModel model_;
 };

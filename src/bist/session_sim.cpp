@@ -5,15 +5,14 @@
 namespace lbist {
 
 std::uint32_t chip_seed(std::size_t reg, int width) {
-  const std::uint32_t mask =
-      width == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << width) - 1);
   const std::uint32_t seed =
-      (0x9E3779B9u * (static_cast<std::uint32_t>(reg) + 1)) & mask;
+      (0x9E3779B9u * (static_cast<std::uint32_t>(reg) + 1)) &
+      lfsr_mask(width);
   return seed == 0 ? 1 : seed;
 }
 
 int period_capped(int patterns, int width) {
-  const std::uint64_t period = (std::uint64_t{1} << width) - 1;
+  const std::uint64_t period = lfsr_mask(width);  // 2^width - 1
   if (static_cast<std::uint64_t>(patterns) > period) {
     return static_cast<int>(period);  // width >= 31 never caps
   }

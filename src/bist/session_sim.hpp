@@ -35,7 +35,8 @@ inline constexpr std::uint32_t kGenericSeedRight = 0x13;
 /// Chip seed of TPG register `reg` at `width` bits: the power-on constant
 /// the emitted hardware (bist/verilog_bist.cpp) and every grader of an
 /// allocated plan agree on.  Never zero (an all-zero LFSR state is
-/// absorbing).
+/// absorbing).  Throws lbist::Error for a width outside 2..32, as does
+/// `period_capped`.
 [[nodiscard]] std::uint32_t chip_seed(std::size_t reg, int width);
 
 /// `patterns` capped at one LFSR period (2^width - 1).  Past it the TPG

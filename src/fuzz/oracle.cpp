@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 
 #include "binding/cbilbo_check.hpp"
 #include "bist/allocator.hpp"
@@ -100,6 +101,83 @@ bool corrupt_binding(RegisterBinding& rb, const VarConflictGraph& cg) {
   return false;
 }
 
+/// The greedy BIST allocation over the full embedding product, built from
+/// rtl/ipath's enumerators, RoleFlags and AreaModel::role_extra only: each
+/// module in turn takes the first embedding, in enumeration order, of
+/// least (Δarea, ΔCBILBO, Δmodified).  solve_greedy must reproduce it.
+BistSolution full_scan_greedy(const Datapath& dp, const AreaModel& model,
+                              bool transparent) {
+  std::vector<RoleFlags> flags(dp.registers.size());
+  auto with_duties = [](RoleFlags f, const BistEmbedding& e,
+                        std::size_t reg) {
+    if (reg == e.tpg_left || reg == e.tpg_right) f.tpg = true;
+    if (e.sa == reg) {
+      f.sa = true;
+      f.cbilbo = f.cbilbo || e.needs_cbilbo();
+    }
+    return f;
+  };
+  BistSolution sol;
+  sol.exact = false;
+  sol.embeddings.assign(dp.modules.size(), std::nullopt);
+  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+    std::optional<BistEmbedding> best;
+    std::tuple<double, int, int> best_cost;
+    auto visit = [&](const BistEmbedding& e) {
+      const std::size_t regs[] = {e.tpg_left, e.tpg_right, e.sa.value_or(0)};
+      const std::size_t touched =
+          e.sa.has_value() && !e.needs_cbilbo() ? 3 : 2;
+      std::tuple<double, int, int> cost{0.0, 0, 0};
+      for (std::size_t i = 0; i < touched; ++i) {
+        const BistRole before = flags[regs[i]].role();
+        const BistRole after = with_duties(flags[regs[i]], e, regs[i]).role();
+        std::get<0>(cost) += model.role_extra(after) - model.role_extra(before);
+        std::get<1>(cost) += static_cast<int>(after == BistRole::Cbilbo) -
+                             static_cast<int>(before == BistRole::Cbilbo);
+        std::get<2>(cost) += static_cast<int>(after != BistRole::None) -
+                             static_cast<int>(before != BistRole::None);
+      }
+      if (!best.has_value() || cost < best_cost) {
+        best = e;
+        best_cost = cost;
+      }
+      return true;
+    };
+    if (transparent) {
+      for_each_embedding_extended(dp, m, visit);
+    } else {
+      for_each_embedding(dp, m, visit);
+    }
+    if (!best.has_value()) {
+      sol.untestable_modules.push_back(m);
+      continue;
+    }
+    for (std::size_t r : {best->tpg_left, best->tpg_right}) {
+      flags[r] = with_duties(flags[r], *best, r);
+    }
+    if (best->sa.has_value()) {
+      flags[*best->sa] = with_duties(flags[*best->sa], *best, *best->sa);
+    }
+    sol.embeddings[m] = best;
+  }
+  for (const RoleFlags& f : flags) {
+    sol.roles.push_back(f.role());
+    sol.extra_area += model.role_extra(f.role());
+  }
+  return sol;
+}
+
+std::string embedding_text(const std::optional<BistEmbedding>& e) {
+  if (!e.has_value()) return "untested";
+  auto opt = [](const std::optional<std::size_t>& v) {
+    return v.has_value() ? std::to_string(*v) : std::string("-");
+  };
+  return "L" + std::to_string(e->tpg_left) + " R" +
+         std::to_string(e->tpg_right) + " SA" + opt(e->sa) + " through " +
+         opt(e->left_through) + "/" + opt(e->right_through) + " via " +
+         opt(e->left_via) + "/" + opt(e->right_via);
+}
+
 class OracleRun {
  public:
   OracleRun(const Dfg& dfg, const Schedule& sched, const OracleOptions& opts)
@@ -137,6 +215,7 @@ class OracleRun {
       check_binding(arm, kind, so, result);
       check_simulation(arm, kind, so, result);
       check_area(arm, so, result);
+      check_greedy_reference(arm, so, result);
       if (kind == BinderKind::BistAware) check_report(result);
       if (kind == BinderKind::BistAware) check_events(events, result);
       const bool deep =
@@ -244,6 +323,42 @@ class OracleRun {
         fail("area-consistency:" + arm,
              "exact allocation (" + std::to_string(result.bist.extra_area) +
                  ") worse than greedy (" + std::to_string(greedy) + ")");
+      }
+    }
+  }
+
+  /// solve_greedy against the full-scan greedy, every field: simple
+  /// I-paths at every size, transparent paths within the deep-check gate.
+  void check_greedy_reference(const std::string& arm,
+                              const SynthesisOptions& so,
+                              const SynthesisResult& result) {
+    const Datapath& dp = result.datapath;
+    const bool small =
+        dfg_.num_ops() <= static_cast<std::size_t>(opts_.deep_check_max_ops);
+    for (bool transparent : {false, true}) {
+      if (transparent && !small) break;
+      BistAllocator alloc(so.area);
+      alloc.use_transparent_paths = transparent;
+      const BistSolution got = alloc.solve_greedy(dp);
+      const BistSolution want = full_scan_greedy(dp, so.area, transparent);
+      const std::string paths = transparent ? "transparent" : "simple";
+      for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+        const std::string g = embedding_text(got.embeddings[m]);
+        const std::string w = embedding_text(want.embeddings[m]);
+        if (g != w) {
+          fail("greedy-reference:" + arm,
+               paths + " paths, module " + dp.modules[m].name +
+                   ": greedy took " + g + ", the full scan " + w);
+          return;
+        }
+      }
+      if (got.roles != want.roles ||
+          got.untestable_modules != want.untestable_modules ||
+          got.extra_area != want.extra_area) {
+        fail("greedy-reference:" + arm,
+             paths + " paths: roles, untestable modules or extra area "
+                     "differ from the full scan");
+        return;
       }
     }
   }

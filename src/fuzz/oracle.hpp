@@ -21,6 +21,10 @@
 //   area-consistency        functional area, extra area and the overhead
 //                           percentage are mutually consistent, and the
 //                           exact allocator never loses to the greedy one
+//   greedy-reference:<arm>  the greedy BIST allocator picks exactly the
+//                           embeddings of a greedy over the full embedding
+//                           product (transparent paths too on designs
+//                           within `deep_check_max_ops`)
 //   report-consistency      the JSON report round-trips and its metrics
 //                           equal the synthesis result
 //   snapshot-roundtrip      every stage-boundary IR snapshot (src/passes)

@@ -150,6 +150,10 @@ void AlgorithmEvents::bist_greedy_fallback() {
   push("bist_greedy_fallback", "bist.greedy_fallbacks");
 }
 
+void AlgorithmEvents::bist_embeddings_scanned(std::uint64_t n) {
+  if (metrics_ != nullptr) metrics_->counter("bist.embeddings_scanned").inc(n);
+}
+
 std::vector<AlgorithmEvent> AlgorithmEvents::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return events_;

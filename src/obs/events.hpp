@@ -91,6 +91,9 @@ class AlgorithmEvents {
   // ---- BIST allocation --------------------------------------------------
   void bist_role(std::size_t reg, std::string_view role);
   void bist_greedy_fallback();
+  /// Work counter of one greedy solve: adds `n` to the
+  /// `bist.embeddings_scanned` counter; records no event.
+  void bist_embeddings_scanned(std::uint64_t n);
 
   /// Copy of the retained events, in record order.
   [[nodiscard]] std::vector<AlgorithmEvent> snapshot() const;

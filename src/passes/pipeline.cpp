@@ -1,5 +1,6 @@
 #include "passes/pipeline.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -800,23 +801,33 @@ SynthesisOptions options_from_json(const Json& j) {
       j.at("interconnect").at("weight_by_sd").as_bool();
   opts.lifetime.hold_outputs_to_end =
       j.at("lifetime").at("hold_outputs_to_end").as_bool();
+  // A snapshot arrives from outside (files, the server socket): reject
+  // widths and coefficients no synthesis produces before they reach an
+  // area sum or an LFSR.
   const Json& area = j.at("area");
   opts.area.bit_width = area.at("bit_width").as_int();
-  opts.area.reg_gates_per_bit = area.at("reg_gates_per_bit").as_number();
-  opts.area.mux_gates_per_bit = area.at("mux_gates_per_bit").as_number();
-  opts.area.tpg_extra_per_bit = area.at("tpg_extra_per_bit").as_number();
-  opts.area.sa_extra_per_bit = area.at("sa_extra_per_bit").as_number();
-  opts.area.bilbo_extra_per_bit = area.at("bilbo_extra_per_bit").as_number();
-  opts.area.cbilbo_extra_per_bit =
-      area.at("cbilbo_extra_per_bit").as_number();
-  opts.area.add_gates_per_bit = area.at("add_gates_per_bit").as_number();
-  opts.area.sub_gates_per_bit = area.at("sub_gates_per_bit").as_number();
-  opts.area.logic_gates_per_bit = area.at("logic_gates_per_bit").as_number();
-  opts.area.cmp_gates_per_bit = area.at("cmp_gates_per_bit").as_number();
-  opts.area.mul_gates_per_bit2 = area.at("mul_gates_per_bit2").as_number();
-  opts.area.div_gates_per_bit2 = area.at("div_gates_per_bit2").as_number();
-  opts.area.alu_extra_kind_factor =
-      area.at("alu_extra_kind_factor").as_number();
+  LBIST_CHECK(opts.area.bit_width >= 1,
+              "snapshot option area.bit_width must be >= 1");
+  auto coefficient = [&](const char* key) {
+    const double v = area.at(key).as_number();
+    LBIST_CHECK(std::isfinite(v) && v >= 0.0,
+                std::string("snapshot option area.") + key +
+                    " must be finite and non-negative");
+    return v;
+  };
+  opts.area.reg_gates_per_bit = coefficient("reg_gates_per_bit");
+  opts.area.mux_gates_per_bit = coefficient("mux_gates_per_bit");
+  opts.area.tpg_extra_per_bit = coefficient("tpg_extra_per_bit");
+  opts.area.sa_extra_per_bit = coefficient("sa_extra_per_bit");
+  opts.area.bilbo_extra_per_bit = coefficient("bilbo_extra_per_bit");
+  opts.area.cbilbo_extra_per_bit = coefficient("cbilbo_extra_per_bit");
+  opts.area.add_gates_per_bit = coefficient("add_gates_per_bit");
+  opts.area.sub_gates_per_bit = coefficient("sub_gates_per_bit");
+  opts.area.logic_gates_per_bit = coefficient("logic_gates_per_bit");
+  opts.area.cmp_gates_per_bit = coefficient("cmp_gates_per_bit");
+  opts.area.mul_gates_per_bit2 = coefficient("mul_gates_per_bit2");
+  opts.area.div_gates_per_bit2 = coefficient("div_gates_per_bit2");
+  opts.area.alu_extra_kind_factor = coefficient("alu_extra_kind_factor");
   return opts;
 }
 

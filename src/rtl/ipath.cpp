@@ -19,28 +19,42 @@ std::vector<SimpleIPath> simple_ipaths(const Datapath& dp) {
   return out;
 }
 
-namespace {
-
-/// A TPG option for one port: the generator register, and the module held
-/// transparent on the way (nullopt for a direct connection).
-struct TpgOption {
-  std::size_t reg = 0;
-  std::optional<std::size_t> through;
-  std::optional<std::size_t> via;
-};
-
-/// Streams the cross product of TPG options (x dest registers) to `fn`;
-/// stops when `fn` returns false.  Returns the number of embeddings
-/// visited.  The materialized enumerators below collect from this visitor,
-/// so streaming and materialized callers see the exact same order.
-std::size_t visit_embeddings_from_options(
-    const Datapath& dp, std::size_t m, const std::vector<TpgOption>& left,
-    const std::vector<TpgOption>& right,
-    const std::function<bool(const BistEmbedding&)>& fn) {
+EmbeddingOptions embedding_options(
+    const Datapath& dp, std::size_t m,
+    std::span<const TransparentIPath> transparent) {
+  // The lists are O(port fan-in + transparent paths), cheap to build even
+  // at scale; only their cross product must not materialize.
   const DpModule& mod = dp.modules[m];
+  EmbeddingOptions out;
+  out.module = m;
+  out.dests.assign(mod.dest_registers.begin(), mod.dest_registers.end());
+  auto port = [&](const std::set<std::size_t>& sources,
+                  std::vector<TpgOption>& options) {
+    for (std::size_t r : sources) {
+      options.push_back(TpgOption{r, std::nullopt, std::nullopt});
+    }
+    // One-hop transparent extensions: from_reg -> t(identity) -> to_reg,
+    // where to_reg already feeds the port.  Skip options whose generator
+    // is already a direct source (no benefit, larger search).
+    for (const TransparentIPath& p : transparent) {
+      if (p.through_module == m) continue;
+      if (sources.count(p.to_reg) == 0) continue;
+      if (sources.count(p.from_reg) > 0) continue;
+      options.push_back(TpgOption{p.from_reg, p.through_module, p.to_reg});
+    }
+  };
+  port(mod.left_sources, out.left);
+  port(mod.right_sources, out.right);
+  return out;
+}
+
+std::size_t visit_embeddings(
+    const EmbeddingOptions& options,
+    const std::function<bool(const BistEmbedding&)>& fn) {
+  const std::size_t m = options.module;
   std::size_t visited = 0;
-  for (const TpgOption& tl : left) {
-    for (const TpgOption& tr : right) {
+  for (const TpgOption& tl : options.left) {
+    for (const TpgOption& tr : options.right) {
       if (tl.reg == tr.reg) continue;  // need two independent generators
       // A module cannot be a transparent wire for its own test.
       if ((tl.through.has_value() && *tl.through == m) ||
@@ -63,12 +77,12 @@ std::size_t visit_embeddings_from_options(
       e.right_through = tr.through;
       e.left_via = tl.via;
       e.right_via = tr.via;
-      if (mod.dest_registers.empty()) {
+      if (options.dests.empty()) {
         e.sa = std::nullopt;  // observed at a primary output/control pin
         ++visited;
         if (!fn(e)) return visited;
       } else {
-        for (std::size_t sa : mod.dest_registers) {
+        for (std::size_t sa : options.dests) {
           // A via register cannot compact while shuttling patterns.
           if ((tl.via.has_value() && *tl.via == sa) ||
               (tr.via.has_value() && *tr.via == sa)) {
@@ -83,17 +97,6 @@ std::size_t visit_embeddings_from_options(
   }
   return visited;
 }
-
-
-std::vector<TpgOption> direct_options(const std::set<std::size_t>& sources) {
-  std::vector<TpgOption> out;
-  for (std::size_t r : sources) {
-    out.push_back(TpgOption{r, std::nullopt, std::nullopt});
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<BistEmbedding> enumerate_embeddings(const Datapath& dp,
                                                 std::size_t m) {
@@ -118,36 +121,14 @@ std::vector<BistEmbedding> enumerate_embeddings_extended(const Datapath& dp,
 std::size_t for_each_embedding(
     const Datapath& dp, std::size_t m,
     const std::function<bool(const BistEmbedding&)>& fn) {
-  const DpModule& mod = dp.modules[m];
-  return visit_embeddings_from_options(dp, m,
-                                       direct_options(mod.left_sources),
-                                       direct_options(mod.right_sources), fn);
+  return visit_embeddings(embedding_options(dp, m), fn);
 }
 
 std::size_t for_each_embedding_extended(
     const Datapath& dp, std::size_t m,
     const std::function<bool(const BistEmbedding&)>& fn) {
-  // The TPG option lists are O(port fan-in + transparent paths) — cheap to
-  // build even at scale; only their cross product must not materialize.
-  const DpModule& mod = dp.modules[m];
-  std::vector<TpgOption> left = direct_options(mod.left_sources);
-  std::vector<TpgOption> right = direct_options(mod.right_sources);
-  // One-hop transparent extensions: from_reg -> t(identity) -> to_reg,
-  // where to_reg already feeds the port.  Skip options whose generator is
-  // already a direct source (no benefit, larger search).
-  const auto paths = transparent_ipaths(dp);
-  auto extend = [&](const std::set<std::size_t>& sources,
-                    std::vector<TpgOption>& options) {
-    for (const TransparentIPath& p : paths) {
-      if (p.through_module == m) continue;
-      if (sources.count(p.to_reg) == 0) continue;
-      if (sources.count(p.from_reg) > 0) continue;
-      options.push_back(TpgOption{p.from_reg, p.through_module, p.to_reg});
-    }
-  };
-  extend(mod.left_sources, left);
-  extend(mod.right_sources, right);
-  return visit_embeddings_from_options(dp, m, left, right, fn);
+  return visit_embeddings(embedding_options(dp, m, transparent_ipaths(dp)),
+                          fn);
 }
 
 bool has_identity_mode(const ModuleProto& proto) {

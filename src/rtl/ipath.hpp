@@ -17,9 +17,17 @@
 // finds length-2 I-paths through modules with an identity mode (x+0, x*1,
 // x&1...1, x|0...0): these widen the embedding space further (future-work
 // direction noted in our DESIGN.md, exercised by the ablation bench).
+//
+// A module's embeddings are the cross product of three per-port lists
+// (`EmbeddingOptions`): the TPG options of each input port and the
+// destination registers.  `visit_embeddings` walks the product of any
+// such lists; the full lists give every embedding (`for_each_embedding`,
+// `enumerate_embeddings`), and the greedy BIST allocator walks shortened
+// lists of its own (bist/allocator.cpp).
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "rtl/datapath.hpp"
@@ -71,6 +79,50 @@ struct BistEmbedding {
   }
 };
 
+/// An I-path through a module in an identity mode: data flows
+/// `from_reg -> module(port) -> to_reg` unaltered when the other port is
+/// held at the identity constant.
+struct TransparentIPath {
+  std::size_t from_reg = 0;
+  std::size_t through_module = 0;
+  IPathPort data_port = IPathPort::Left;
+  std::size_t to_reg = 0;
+};
+
+/// One way to drive a module input port with test patterns: the generator
+/// register, and for a transparent path the module held in its identity
+/// mode and the register it writes (both nullopt for a direct connection).
+struct TpgOption {
+  std::size_t reg = 0;
+  std::optional<std::size_t> through;
+  std::optional<std::size_t> via;
+};
+
+/// The lists a BIST embedding of `module` picks one entry of each from.
+struct EmbeddingOptions {
+  std::size_t module = 0;
+  std::vector<TpgOption> left;
+  std::vector<TpgOption> right;
+  /// SA candidates, ascending; empty when the module output is observed at
+  /// a primary output/control pin only.
+  std::vector<std::size_t> dests;
+};
+
+/// The option lists of module `m`: its direct sources per port in register
+/// order, then one-hop transparent options built from `transparent` (the
+/// result of `transparent_ipaths(dp)`; empty for simple I-paths only).
+[[nodiscard]] EmbeddingOptions embedding_options(
+    const Datapath& dp, std::size_t m,
+    std::span<const TransparentIPath> transparent = {});
+
+/// Streams the valid embeddings of the cross product left x right x dests
+/// to `fn`, in enumeration order (left option outermost, destination
+/// innermost); `fn` returns false to stop early.  Returns the number of
+/// embeddings visited.
+std::size_t visit_embeddings(
+    const EmbeddingOptions& options,
+    const std::function<bool(const BistEmbedding&)>& fn);
+
 /// Every BIST embedding of module `m` over simple I-paths only
 /// (tpg_left != tpg_right always).  Empty result means the module cannot
 /// be pseudo-randomly tested with the present connectivity (e.g. a single
@@ -84,7 +136,7 @@ struct BistEmbedding {
 [[nodiscard]] std::vector<BistEmbedding> enumerate_embeddings_extended(
     const Datapath& dp, std::size_t m);
 
-/// Streaming visitor over the embeddings of module `m`, in exactly the
+/// Streaming visitor over every embedding of module `m`, in exactly the
 /// order `enumerate_embeddings` would list them, without materializing the
 /// list (the count is |left| x |right| x |dests| — quadratic-to-cubic in
 /// register fan-in, gigabytes at 10k-op scale).  `fn` returns false to
@@ -97,16 +149,6 @@ std::size_t for_each_embedding(
 std::size_t for_each_embedding_extended(
     const Datapath& dp, std::size_t m,
     const std::function<bool(const BistEmbedding&)>& fn);
-
-/// An I-path through a module in an identity mode: data flows
-/// `from_reg -> module(port) -> to_reg` unaltered when the other port is
-/// held at the identity constant.
-struct TransparentIPath {
-  std::size_t from_reg = 0;
-  std::size_t through_module = 0;
-  IPathPort data_port = IPathPort::Left;
-  std::size_t to_reg = 0;
-};
 
 /// True if the module kind set has an identity constant making one operand
 /// transparent (add/sub/or/xor: 0, mul/div: 1, and: all-ones).

@@ -46,15 +46,15 @@ std::uint32_t primitive_taps(int width) {
   }
 }
 
-namespace {
-std::uint32_t width_mask(int width) {
+std::uint32_t lfsr_mask(int width) {
+  LBIST_CHECK(width >= 2 && width <= 32,
+              "LFSR width " + std::to_string(width) + " is outside 2..32");
   return width == 32 ? 0xFFFFFFFFu : ((std::uint32_t{1} << width) - 1);
 }
-}  // namespace
 
 Lfsr::Lfsr(int width, std::uint32_t seed)
     : width_(width),
-      mask_(width_mask(width)),
+      mask_(lfsr_mask(width)),
       taps_(primitive_taps(width)),
       state_(seed & mask_) {
   LBIST_CHECK(state_ != 0,
@@ -73,7 +73,7 @@ std::uint32_t Lfsr::step() {
 
 Misr::Misr(int width, std::uint32_t seed)
     : width_(width),
-      mask_(width_mask(width)),
+      mask_(lfsr_mask(width)),
       taps_(primitive_taps(width)),
       state_(seed & mask_) {}
 

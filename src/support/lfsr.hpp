@@ -15,6 +15,10 @@
 
 namespace lbist {
 
+/// Mask of the low `width` bits of a register.  Throws lbist::Error for a
+/// width outside 2..32, before any shift by it.
+[[nodiscard]] std::uint32_t lfsr_mask(int width);
+
 /// Primitive polynomial tap mask for an n-bit LFSR (bit i set = x^(i+1)
 /// term present; the x^0 term is implicit).  Throws for unsupported widths.
 [[nodiscard]] std::uint32_t primitive_taps(int width);

@@ -67,6 +67,14 @@ TEST(Lfsr, ZeroSeedRejected) {
 TEST(Lfsr, UnsupportedWidthRejected) {
   EXPECT_THROW((void)primitive_taps(1), Error);
   EXPECT_THROW((void)primitive_taps(33), Error);
+  // Rejected before any shift by the width.
+  for (int width : {-7, 0, 1, 33, 40}) {
+    EXPECT_THROW((void)lfsr_mask(width), Error) << width;
+    EXPECT_THROW(Lfsr(width, 1), Error) << width;
+    EXPECT_THROW((void)Misr(width), Error) << width;
+  }
+  EXPECT_EQ(lfsr_mask(2), 0x3u);
+  EXPECT_EQ(lfsr_mask(32), 0xFFFFFFFFu);
 }
 
 TEST(Lfsr, DeterministicSequence) {

@@ -232,6 +232,8 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   sink.bist_role(0, "TPG");
   sink.bist_role(1, "CBILBO");
   sink.bist_greedy_fallback();
+  sink.bist_embeddings_scanned(7);
+  sink.bist_embeddings_scanned(5);
 
   EXPECT_TRUE(sink.snapshot().empty());  // counters-only mode
   EXPECT_EQ(sink.count("case_override"), 2u);
@@ -249,6 +251,7 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   EXPECT_EQ(counters.at("bist.roles_tpg").as_number(), 1.0);
   EXPECT_EQ(counters.at("bist.roles_cbilbo").as_number(), 1.0);
   EXPECT_EQ(counters.at("bist.greedy_fallbacks").as_number(), 1.0);
+  EXPECT_EQ(counters.at("bist.embeddings_scanned").as_number(), 12.0);
 }
 
 TEST(AlgorithmEvents, KeepEventsRetainsTypedDetail) {
@@ -425,6 +428,9 @@ TEST(ObsIntegration, Ex1SynthesisEmitsPaperDecisions) {
   const Json dump = metrics.to_json();
   EXPECT_EQ(dump.at("counters").at("binding.assignments").as_number(),
             static_cast<double>(events.count("assign")));
+  // The exact allocator's greedy incumbent published its scan.
+  EXPECT_GT(dump.at("counters").at("bist.embeddings_scanned").as_number(),
+            0.0);
 }
 
 // --- sampling profiler -----------------------------------------------------

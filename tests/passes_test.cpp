@@ -158,6 +158,32 @@ TEST(Snapshot, RestoreRejectsMalformedDocuments) {
           << e.what();
     }
   }
+
+  // Area options no synthesis writes (a width below 1, a non-finite or
+  // negative coefficient) are rejected at restore, naming the field.
+  for (const auto& [field, bad] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"bit_width", "-7"},
+           {"bit_width", "0"},
+           {"tpg_extra_per_bit", "1e999"},
+           {"cbilbo_extra_per_bit", "-1e999"},
+           {"sa_extra_per_bit", "-2.5"},
+           {"mux_gates_per_bit", "-0.5"}}) {
+    const std::string key = "\"" + field + "\":";
+    const std::size_t pos = sched_snap.find(key);
+    ASSERT_NE(pos, std::string::npos) << field;
+    const std::size_t end = sched_snap.find_first_of(",}", pos);
+    std::string doc = sched_snap;
+    doc.replace(pos, end - pos, key + bad);
+    try {
+      (void)pipeline.restore(Json::parse(doc));
+      ADD_FAILURE() << field << " = " << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("area." + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Snapshot, WriterRecordIsInformationalOnly) {

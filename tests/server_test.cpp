@@ -504,6 +504,51 @@ TEST(ServerEndToEnd, OversizedEvolveConfigIsRejectedAndShardStaysUp) {
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
 
+// A snapshot whose area width no LFSR supports is answered with an error
+// before any shift by that width, and the shard goes on answering the
+// same connection.
+TEST(ServerEndToEnd, OverwideHybridWidthIsRejectedAndShardStaysUp) {
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), SynthesisOptions{});
+  const PassPipeline& pipeline = PassPipeline::standard();
+  pipeline.run(state, pipeline.index_of("binding") + 1);
+  Json snap = pipeline.snapshot(state);
+  Json options = snap.at("options");
+  Json area = options.at("area");
+  area.set("bit_width", Json::number(40));
+  options.set("area", std::move(area));
+  snap.set("options", std::move(options));
+  const std::string request =
+      Json::object()
+          .set("type", Json::string("hybrid"))
+          .set("snapshot", std::move(snap))
+          .dump_compact() +
+      "\n{\"type\": \"health\"}\n";
+
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  ASSERT_EQ(summary.responses, 2);
+  std::istringstream lines(out.str());
+  std::string first, second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const Json rejected = Json::parse(first);
+  EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
+  EXPECT_EQ(rejected.at("status").as_string(), "error");
+  EXPECT_NE(rejected.at("error").as_string().find("width 40 is outside"),
+            std::string::npos)
+      << rejected.at("error").as_string();
+  const Json health = Json::parse(second);
+  EXPECT_EQ(health.at("type").as_string(), "health");
+  EXPECT_EQ(health.at("status").as_string(), "ok");
+}
+
 // The health reply carries the build record so clients can detect
 // server/client version skew before posting snapshots.
 TEST(ServerEndToEnd, HealthReplyCarriesBuildInfo) {
