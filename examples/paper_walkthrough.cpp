@@ -1,6 +1,6 @@
 // Section III of the paper, replayed step by step on the running example:
 // the conflict graph with sharing degrees and max-clique sizes (Fig. 4),
-// the structured PVES, every ΔSD coloring decision (the binder's trace),
+// the structured PVES, every ΔSD coloring decision (the binder's events),
 // the Lemma-2 check, and the final data paths of Fig. 5 with their
 // minimal-area BIST solutions.
 //
@@ -19,6 +19,7 @@
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
 #include "interconnect/build_datapath.hpp"
+#include "obs/events.hpp"
 #include "support/table.hpp"
 
 int main() {
@@ -50,9 +51,11 @@ int main() {
   std::cout << fig4 << "\n";
 
   std::cout << "=== the binder's decisions (Section III.A.2) ===\n";
-  std::vector<std::string> trace;
-  auto rb = bind_registers_bist_aware(dfg, cg, mb, {}, &trace);
-  for (const auto& line : trace) std::cout << "  " << line << "\n";
+  AlgorithmEvents events;
+  auto rb = bind_registers_bist_aware(dfg, cg, mb, {}, &events);
+  for (const auto& line : binder_decision_lines(events.snapshot())) {
+    std::cout << "  " << line << "\n";
+  }
   std::cout << "final binding: " << rb.to_string(dfg) << "\n\n";
 
   std::cout << "=== Lemma 2: forced CBILBOs per binding ===\n";

@@ -1,5 +1,8 @@
 #include "baselines/syntest.hpp"
 
+#include <ranges>
+
+#include "binding/sharing.hpp"
 #include "graph/interval.hpp"
 
 namespace lbist {
@@ -9,82 +12,31 @@ RegisterBinding bind_registers_syntest(const Dfg& dfg,
                                        const ModuleBinding& mb) {
   const std::span<const LiveInterval> live = cg.live_intervals();
   const std::vector<std::size_t> peo = interval_elimination_order(live);
-  std::vector<std::size_t> order(peo.rbegin(), peo.rend());
+  const SharingAnalysis sa(dfg, mb);
 
-  const std::size_t m = mb.num_modules();
-
-  struct RegState {
-    std::vector<std::size_t> members;
-    DisjointIntervals lifetimes;
-    DynBitset feeds;   // modules supplied with operands
-    DynBitset fed_by;  // modules writing into this register
-  };
-  std::vector<RegState> regs;
-
-  auto var_feeds = [&](VarId v) {
-    DynBitset out(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (mb.input_vars(ModuleId{static_cast<ModuleId::value_type>(j)})
-              .test(v.index())) {
-        out.set(j);
-      }
-    }
-    return out;
-  };
-  auto var_fed_by = [&](VarId v) {
-    DynBitset out(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      if (mb.output_vars(ModuleId{static_cast<ModuleId::value_type>(j)})
-              .test(v.index())) {
-        out.set(j);
-      }
-    }
-    return out;
-  };
-
-  for (std::size_t v : order) {
-    const VarId var = cg.vars[v];
-    const DynBitset vf = var_feeds(var);
-    const DynBitset vb = var_fed_by(var);
-
-    std::size_t chosen = regs.size();
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-      if (regs[r].lifetimes.overlaps(live[v])) continue;
-      DynBitset feeds = regs[r].feeds;
-      feeds |= vf;
-      DynBitset fed_by = regs[r].fed_by;
-      fed_by |= vb;
+  RegisterFile file(dfg.num_vars());
+  // Per register: the modules it feeds (bit j) and is fed by (bit m+j).
+  std::vector<DynBitset> masks;
+  for (std::size_t v : peo | std::views::reverse) {
+    const DynBitset& vmask = sa.mask(cg.vars[v]);
+    std::size_t chosen = file.size();
+    for (std::size_t r = 0; r < file.size(); ++r) {
+      if (!file.fits(r, live[v])) continue;
+      DynBitset merged = masks[r];
+      merged |= vmask;
       // Template: (a) no self-loop (module both fed by and feeding the
       // register), (b) register stays single-role (TPG xor SA).
-      const bool self_loop = feeds.intersects(fed_by);
-      const bool dual_role = feeds.any() && fed_by.any();
-      const bool was_dual =
-          regs[r].feeds.any() && regs[r].fed_by.any();
-      if (!self_loop && (!dual_role || was_dual)) {
+      if (!sa.self_adjacent(merged) &&
+          (!sa.feeds_and_is_fed(merged) || sa.feeds_and_is_fed(masks[r]))) {
         chosen = r;
         break;
       }
     }
-    if (chosen == regs.size()) {
-      regs.push_back(RegState{{}, {}, DynBitset(m), DynBitset(m)});
-    }
-    RegState& reg = regs[chosen];
-    reg.members.push_back(v);
-    reg.lifetimes.insert(live[v]);
-    reg.feeds |= vf;
-    reg.fed_by |= vb;
+    if (chosen == masks.size()) masks.push_back(sa.empty_mask());
+    masks[chosen] |= vmask;
+    file.assign(chosen, cg.vars[v], live[v]);
   }
-
-  RegisterBinding rb;
-  rb.reg_of.assign(dfg.num_vars(), RegId::invalid());
-  rb.regs.resize(regs.size());
-  for (std::size_t r = 0; r < regs.size(); ++r) {
-    for (std::size_t v : regs[r].members) {
-      rb.regs[r].push_back(cg.vars[v]);
-      rb.reg_of[cg.vars[v]] = RegId{static_cast<RegId::value_type>(r)};
-    }
-  }
-  return rb;
+  return file.take();
 }
 
 BistSolution syntest_bist_labelling(const Datapath& dp,

@@ -1,10 +1,10 @@
 #include "binding/bist_aware_binder.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <numeric>
+#include <optional>
+#include <ranges>
 #include <span>
-#include <sstream>
 
 #include "binding/cbilbo_check.hpp"
 #include "binding/cbilbo_tracker.hpp"
@@ -18,15 +18,13 @@ namespace lbist {
 
 namespace {
 
-/// Incremental register state kept by the binder.
+/// Sharing and connectivity state the binder keeps per register, beside
+/// the register file's members and intervals.
 struct RegState {
-  std::vector<std::size_t> members;  ///< conflict-graph vertices
-  DisjointIntervals lifetimes;       ///< members' live intervals
-  DynBitset var_mask;                ///< members as a bitset over VarId
-  DynBitset share_mask;              ///< union of member sharing masks
-  DynBitset src_modules;             ///< modules (+external) writing into it
-  DynBitset dst_modules;             ///< modules reading from it
-  int sd = 0;                        ///< SD(share_mask), cached
+  DynBitset share_mask;   ///< union of member sharing masks
+  DynBitset src_modules;  ///< modules (+external) writing into it
+  DynBitset dst_modules;  ///< modules reading from it
+  int sd = 0;             ///< SD(share_mask), cached
 };
 
 /// Per-variable connectivity footprint used by the interconnect tie-break.
@@ -49,16 +47,11 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
                                           const VarConflictGraph& cg,
                                           const ModuleBinding& mb,
                                           const BistBinderOptions& opts,
-                                          std::vector<std::string>* trace,
                                           AlgorithmEvents* events) {
-  const std::size_t n = cg.graph.num_vertices();
   const std::span<const LiveInterval> live = cg.live_intervals();
+  const std::size_t n = live.size();
   SharingAnalysis sa(dfg, mb);
   const std::size_t m = sa.num_modules();
-
-  auto say = [&](const std::string& line) {
-    if (trace != nullptr) trace->push_back(line);
-  };
 
   // --- 1. Structured PVES (Section III.A.1) -------------------------------
   // Per-vertex SD is popcount of a static mask; hoist it out of the sort
@@ -90,7 +83,6 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     for (std::size_t i = 0; i < n; ++i) rank[by_priority[i]] = i;
   }
   const std::vector<std::size_t> peo = interval_elimination_order(live, rank);
-  std::vector<std::size_t> color_order(peo.rbegin(), peo.rend());
 
   // --- per-variable connectivity footprints --------------------------------
   std::vector<VarFootprint> fp(n, VarFootprint{DynBitset(m + 1),
@@ -106,21 +98,20 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   }
 
   // --- 2. Coloring in reverse PVES order (Section III.A.2, III.B) ---------
+  RegisterFile file(dfg.num_vars());
   std::vector<RegState> regs;
   std::optional<CbilboTracker> tracker;
   if (opts.avoid_cbilbo) tracker.emplace(dfg, mb);
-  auto reg_masks = [&] {
-    std::vector<DynBitset> out;
-    out.reserve(regs.size());
-    for (const auto& r : regs) out.push_back(r.var_mask);
-    return out;
-  };
 
+  // r == regs.size() opens a register.
   auto assign = [&](std::size_t v, std::size_t r) {
+    if (r == regs.size()) {
+      regs.push_back(
+          RegState{sa.empty_mask(), DynBitset(m + 1), DynBitset(m + 1), 0});
+      if (tracker.has_value()) tracker->add_register();
+    }
+    file.assign(r, cg.vars[v], live[v]);
     RegState& reg = regs[r];
-    reg.members.push_back(v);
-    reg.lifetimes.insert(live[v]);
-    reg.var_mask.set(cg.vars[v].index());
     reg.sd +=
         static_cast<int>(sa.mask(cg.vars[v]).count_and_not(reg.share_mask));
     reg.share_mask |= sa.mask(cg.vars[v]);
@@ -137,28 +128,17 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   std::vector<std::size_t> feasible;
   feasible.reserve(n);
 
-  for (std::size_t v : color_order) {
+  for (std::size_t v : peo | std::views::reverse) {
     const VarId var = cg.vars[v];
     const DynBitset& vmask = sa.mask(var);
 
     // Non-conflicting registers.
     feasible.clear();
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-      if (!regs[r].lifetimes.overlaps(live[v])) feasible.push_back(r);
+    for (std::size_t r = 0; r < file.size(); ++r) {
+      if (file.fits(r, live[v])) feasible.push_back(r);
     }
     if (feasible.empty()) {
-      RegState fresh{{},
-                     {},
-                     DynBitset(dfg.num_vars()),
-                     sa.empty_mask(),
-                     DynBitset(m + 1),
-                     DynBitset(m + 1),
-                     0};
-      regs.push_back(std::move(fresh));
-      if (tracker.has_value()) tracker->add_register();
-      assign(v, regs.size() - 1);
-      say("assign " + dfg.var(var).name + " -> R" +
-          std::to_string(regs.size()) + " (new register)");
+      assign(v, regs.size());
       if (events != nullptr) {
         events->assign(dfg.var(var).name, regs.size() - 1, sd_vtx[v],
                        /*new_register=*/true, {});
@@ -238,9 +218,6 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
                                        return better(a, b);
                                      });
           if (chosen != r_i) {
-            say("case override: " + dfg.var(var).name + " prefers R" +
-                std::to_string(chosen + 1) + " over R" +
-                std::to_string(r_i + 1));
             if (events != nullptr) {
               const bool from_case1 =
                   std::find(case1_cands.begin(), case1_cands.end(), chosen) !=
@@ -269,9 +246,6 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
         for (std::size_t r : ordered) {
           if (r == chosen) continue;
           if (tracker->delta_if_assigned(var, r) <= 0) {
-            say("CBILBO avoidance: " + dfg.var(var).name + " moved to R" +
-                std::to_string(r + 1) + " (R" + std::to_string(chosen + 1) +
-                " would force a CBILBO)");
             if (events != nullptr) {
               events->cbilbo_avoided(dfg.var(var).name, chosen, r);
             }
@@ -286,8 +260,6 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
 
     const int gained = dsd[chosen];
     assign(v, chosen);
-    say("assign " + dfg.var(var).name + " -> R" + std::to_string(chosen + 1) +
-        " (dSD=" + std::to_string(gained) + ")");
     if (events != nullptr) {
       // A counters-only sink discards the candidate set; skip the
       // O(regs) copy.
@@ -307,22 +279,11 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   // finished register contents) so cbilbo.forced mirrors what the BIST
   // allocator will be confronted with.
   if (events != nullptr) {
-    for (const ForcedCbilbo& f : forced_cbilbos(mb, reg_masks())) {
+    for (const ForcedCbilbo& f : forced_cbilbos(dfg, mb, file.binding())) {
       events->cbilbo_forced(f.reg.index(), f.module.index(), f.lemma_case);
     }
   }
-
-  // --- materialize ----------------------------------------------------------
-  RegisterBinding rb;
-  rb.reg_of.assign(dfg.num_vars(), RegId::invalid());
-  rb.regs.resize(regs.size());
-  for (std::size_t r = 0; r < regs.size(); ++r) {
-    for (std::size_t v : regs[r].members) {
-      rb.regs[r].push_back(cg.vars[v]);
-      rb.reg_of[cg.vars[v]] = RegId{static_cast<RegId::value_type>(r)};
-    }
-  }
-  return rb;
+  return file.take();
 }
 
 }  // namespace lbist

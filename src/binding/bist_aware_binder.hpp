@@ -27,9 +27,6 @@
 // minimum number of registers on every benchmark in the paper (and we test
 // that property on random designs); optimality is not guaranteed in general.
 
-#include <string>
-#include <vector>
-
 #include "binding/module_binding.hpp"
 #include "binding/register_binding.hpp"
 #include "dfg/dfg.hpp"
@@ -48,14 +45,13 @@ struct BistBinderOptions {
 };
 
 /// Binds registers maximizing test-resource sharing and avoiding forced
-/// CBILBOs.  Appends a human-readable decision log to `*trace` if non-null,
-/// and emits typed decision events (PVES order, ΔSD candidate sets, Case
-/// 1/2 overrides, Lemma-2 checks) to `*events` if non-null.
+/// CBILBOs.  Emits typed decision events (PVES order, ΔSD candidate sets,
+/// Case 1/2 overrides, Lemma-2 checks) to `*events` if non-null;
+/// `binder_decision_lines` (obs/events.hpp) renders them as a log.  With
+/// every switch off this is first-fit coloring in reverse PVES order.
 /// Throws lbist::Error if the conflict graph carries no live intervals.
 [[nodiscard]] RegisterBinding bind_registers_bist_aware(
     const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
-    const BistBinderOptions& opts = {},
-    std::vector<std::string>* trace = nullptr,
-    AlgorithmEvents* events = nullptr);
+    const BistBinderOptions& opts = {}, AlgorithmEvents* events = nullptr);
 
 }  // namespace lbist

@@ -45,15 +45,6 @@ RegisterBinding bind_registers_loop_aware(
     }
   }
 
-  auto units_conflict = [&](const AllocationUnit& x,
-                            const AllocationUnit& y) {
-    for (VarId a : x.vars) {
-      for (VarId b : y.vars) {
-        if (lifetimes[a].overlaps(lifetimes[b])) return true;
-      }
-    }
-    return false;
-  };
   auto span_of = [&](const AllocationUnit& u) {
     int span = 0;
     for (VarId v : u.vars) {
@@ -70,35 +61,19 @@ RegisterBinding bind_registers_loop_aware(
                      return span_of(units[a]) > span_of(units[b]);
                    });
 
-  RegisterBinding rb;
-  rb.reg_of.assign(dfg.num_vars(), RegId::invalid());
-  std::vector<std::vector<std::size_t>> reg_units;
+  RegisterFile file(dfg.num_vars());
   for (std::size_t u : order) {
-    std::size_t target = reg_units.size();
-    for (std::size_t r = 0; r < reg_units.size(); ++r) {
-      bool ok = true;
-      for (std::size_t member : reg_units[r]) {
-        if (units_conflict(units[u], units[member])) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        target = r;
-        break;
-      }
-    }
-    if (target == reg_units.size()) {
-      reg_units.emplace_back();
-      rb.regs.emplace_back();
-    }
-    reg_units[target].push_back(u);
-    for (VarId v : units[u].vars) {
-      rb.regs[target].push_back(v);
-      rb.reg_of[v] = RegId{static_cast<RegId::value_type>(target)};
-    }
+    const std::vector<VarId>& vars = units[u].vars;
+    auto unit_fits = [&](std::size_t r) {
+      return std::all_of(vars.begin(), vars.end(), [&](VarId v) {
+        return file.fits(r, lifetimes[v]);
+      });
+    };
+    std::size_t target = 0;
+    while (target < file.size() && !unit_fits(target)) ++target;
+    for (VarId v : vars) file.assign(target, v, lifetimes[v]);
   }
-  return rb;
+  return file.take();
 }
 
 }  // namespace lbist

@@ -32,8 +32,8 @@ struct AllocationUnit {
 /// Groups the allocatable variables into units per the DFG's loop ties.
 [[nodiscard]] std::vector<AllocationUnit> allocation_units(const Dfg& dfg);
 
-/// Greedy unit binding: units ordered by occupied span (descending),
-/// first-fit into registers with exact pairwise overlap checks.
+/// Greedy unit binding: units ordered by occupied span (descending), each
+/// placed first-fit in a register none of whose members it overlaps.
 [[nodiscard]] RegisterBinding bind_registers_loop_aware(
     const Dfg& dfg, const IdMap<VarId, LiveInterval>& lifetimes);
 

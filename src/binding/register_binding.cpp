@@ -46,6 +46,17 @@ void RegisterBinding::validate(
   }
 }
 
+void RegisterFile::assign(std::size_t r, VarId v, const LiveInterval& iv) {
+  LBIST_CHECK(iv.birth < iv.death, "empty live interval");
+  if (r == size()) {
+    rb_.regs.emplace_back();
+    lifetimes_.emplace_back();
+  }
+  rb_.regs[r].push_back(v);
+  rb_.reg_of[v] = RegId{static_cast<RegId::value_type>(r)};
+  lifetimes_[r].insert(iv);
+}
+
 std::string RegisterBinding::to_string(const Dfg& dfg) const {
   std::ostringstream os;
   for (std::size_t r = 0; r < regs.size(); ++r) {

@@ -15,4 +15,21 @@ SharingAnalysis::SharingAnalysis(const Dfg& dfg, const ModuleBinding& mb)
   }
 }
 
+bool SharingAnalysis::feeds_and_is_fed(const DynBitset& mask) const {
+  bool feeds = false;
+  bool fed = false;
+  for (std::size_t j = 0; j < num_modules_; ++j) {
+    feeds = feeds || mask.test(j);
+    fed = fed || mask.test(num_modules_ + j);
+  }
+  return feeds && fed;
+}
+
+bool SharingAnalysis::self_adjacent(const DynBitset& mask) const {
+  for (std::size_t j = 0; j < num_modules_; ++j) {
+    if (mask.test(j) && mask.test(num_modules_ + j)) return true;
+  }
+  return false;
+}
+
 }  // namespace lbist

@@ -47,6 +47,14 @@ class SharingAnalysis {
 
   [[nodiscard]] std::size_t num_modules() const { return num_modules_; }
 
+  /// True if a register holding `mask` feeds some module (an input bit) and
+  /// some module writes it (an output bit).
+  [[nodiscard]] bool feeds_and_is_fed(const DynBitset& mask) const;
+
+  /// True if some module both reads and writes a register holding `mask`
+  /// (bits j and m+j): the register is self-adjacent.
+  [[nodiscard]] bool self_adjacent(const DynBitset& mask) const;
+
  private:
   std::size_t num_modules_ = 0;
   IdMap<VarId, DynBitset> masks_;

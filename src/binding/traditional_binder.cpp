@@ -6,9 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "graph/coloring.hpp"
-#include "graph/interval.hpp"
-
 namespace lbist {
 
 RegisterBinding bind_registers_traditional(
@@ -53,25 +50,6 @@ RegisterBinding bind_registers_traditional(
     busy.emplace(iv.death, r);
     rb.regs[r].push_back(cg.vars[v]);
     rb.reg_of[cg.vars[v]] = RegId{static_cast<RegId::value_type>(r)};
-  }
-  return rb;
-}
-
-RegisterBinding bind_registers_reverse_peo(const Dfg& dfg,
-                                           const VarConflictGraph& cg) {
-  const std::vector<std::size_t> peo =
-      interval_elimination_order(cg.live_intervals());
-  std::vector<std::size_t> order(peo.rbegin(), peo.rend());
-  Coloring coloring = greedy_color(cg.graph, order);
-
-  RegisterBinding rb;
-  rb.reg_of.assign(dfg.num_vars(), RegId::invalid());
-  rb.regs.resize(coloring.num_colors);
-  for (std::size_t v : order) {
-    const VarId var = cg.vars[v];
-    const RegId reg{static_cast<RegId::value_type>(coloring.color[v])};
-    rb.regs[reg.index()].push_back(var);
-    rb.reg_of[var] = reg;
   }
   return rb;
 }

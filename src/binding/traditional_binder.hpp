@@ -1,19 +1,16 @@
 #pragma once
-// Traditional (testability-oblivious) register binders — the paper's
+// Traditional (testability-oblivious) register binder — the paper's
 // comparison arm ("a minimum coloring obtained without regard for
 // testability", Fig. 5(b) and the Traditional HLS columns of Table I).
 //
-// Two classical minimum binders are provided:
-//  * `bind_registers_traditional` — the left-edge algorithm (Kurdahi/Parker
-//    track assignment): variables sorted by birth time, each packed into
-//    the first register free at that time.  This is what DAC-era HLS tools
-//    actually used; it chains producers into consumers' registers, which is
-//    exactly the behaviour that walks into Lemma-2 CBILBO situations.
-//  * `bind_registers_reverse_peo` — greedy first-fit in reverse perfect-
-//    elimination order (optimal for chordal graphs, Golumbic); used as an
-//    alternative traditional arm and by the merge-case studies.
-//
-// Both are register-count-minimum on interval conflict graphs.
+// `bind_registers_traditional` is the left-edge algorithm (Kurdahi/Parker
+// track assignment): variables sorted by birth time, each packed into the
+// first register free at that time.  This is what DAC-era HLS tools
+// actually used; it chains producers into consumers' registers, which is
+// exactly the behaviour that walks into Lemma-2 CBILBO situations.  It is
+// register-count-minimum on interval conflict graphs.  (Greedy first-fit in
+// reverse perfect-elimination order, the other classical minimum binder, is
+// `bind_registers_bist_aware` with every BistBinderOptions switch off.)
 
 #include "binding/register_binding.hpp"
 #include "dfg/dfg.hpp"
@@ -26,10 +23,5 @@ namespace lbist {
 [[nodiscard]] RegisterBinding bind_registers_traditional(
     const Dfg& dfg, const VarConflictGraph& cg,
     const IdMap<VarId, LiveInterval>& lifetimes);
-
-/// Reverse-PEO first-fit minimum coloring (also testability-oblivious).
-/// Throws lbist::Error if the conflict graph carries no live intervals.
-[[nodiscard]] RegisterBinding bind_registers_reverse_peo(
-    const Dfg& dfg, const VarConflictGraph& cg);
 
 }  // namespace lbist

@@ -14,6 +14,20 @@ namespace lbist {
 
 namespace {
 
+/// Frontier cap of the exact DP: past this many surviving states in one
+/// module level, `solve` abandons the search for the greedy allocator.  A
+/// level is built in full before the next starts, so the cap bounds the
+/// DP's memory (500k states of one role byte per register each).
+constexpr std::size_t kMaxFrontier = 500000;
+
+/// Register-count gate of the exact DP.  A DP state is one role byte per
+/// register, so frontier memory and hashing cost grow with the register
+/// count; past this many registers the search would burn seconds and
+/// gigabytes before the inevitable kMaxFrontier bail, so `solve` goes
+/// straight to greedy.  The paper designs and fuzz shapes have at most a
+/// few dozen registers and never reach it.
+constexpr std::size_t kExactMaxRegs = 192;
+
 using StateKey = std::string;  // one byte of RoleFlags per register
 
 StateKey apply_embedding(const StateKey& state, const BistEmbedding& e) {
@@ -292,11 +306,7 @@ void emit_role_events(AlgorithmEvents* events,
 BistSolution BistAllocator::solve(const Datapath& dp) const {
   const std::size_t nregs = dp.registers.size();
 
-  // DP states are one role byte per register and embedding lists are the
-  // cross product of port fan-ins, so past a few hundred registers the
-  // exact search would burn gigabytes before the inevitable frontier
-  // bail.  Go straight to the greedy allocator instead.
-  if (nregs > exact_max_regs) {
+  if (nregs > kExactMaxRegs) {
     if (events != nullptr) events->bist_greedy_fallback();
     return solve_greedy_impl(dp, /*emit_roles=*/true);
   }
@@ -359,7 +369,7 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
             next.push_back(Entry{std::move(s), p, e, area});
             // Bail out *during* construction — a single level can exhaust
             // memory long before it completes on large designs.
-            if (next.size() > max_frontier) {
+            if (next.size() > kMaxFrontier) {
               if (events != nullptr) events->bist_greedy_fallback();
               return solve_greedy_impl(dp, /*emit_roles=*/true);
             }

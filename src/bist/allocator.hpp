@@ -12,9 +12,10 @@
 // completion seeds the incumbent; since role flags only accumulate and the
 // area model is (normally) monotone in them, a partial state's own area is
 // an admissible lower bound and strictly-worse states are cut without
-// losing exactness.  If the surviving frontier still exceeds a cap — or
-// the design has more registers than `exact_max_regs`, which makes every
-// DP state itself large — the allocator falls back to the greedy solver.
+// losing exactness.  If the surviving frontier still exceeds 500,000
+// states — or the design has more than 192 registers, which makes every
+// DP state itself large — the allocator falls back to the greedy solver
+// (the two caps are constants in allocator.cpp).
 // Objective is lexicographic: minimal extra area, then fewest CBILBOs,
 // then fewest modified registers.
 //
@@ -78,25 +79,14 @@ class BistAllocator {
  public:
   explicit BistAllocator(AreaModel model) : model_(model) {}
 
-  /// Exact branch-and-bound solver; falls back to greedy beyond
-  /// `max_frontier` surviving states or `exact_max_regs` registers.
+  /// Exact branch-and-bound solver; falls back to greedy beyond 500,000
+  /// surviving states in one module level or 192 registers.
   [[nodiscard]] BistSolution solve(const Datapath& dp) const;
 
   /// Greedy: modules in order, each takes its locally cheapest embedding
   /// (the first in enumeration order).  Scans a few options per role and
   /// port, so it costs O(fan-in) per module at any design size.
   [[nodiscard]] BistSolution solve_greedy(const Datapath& dp) const;
-
-  /// Frontier cap for the exact DP (states per module level).
-  std::size_t max_frontier = 500000;
-
-  /// Register-count cap for the exact DP.  Each DP state is one role byte
-  /// per register, so frontier memory and hashing cost scale with the
-  /// register count; past this many registers the search would burn
-  /// seconds and gigabytes before the inevitable `max_frontier` bail, so
-  /// `solve` goes straight to the greedy allocator instead.
-  /// Paper benchmarks and fuzz shapes sit far below this cap.
-  std::size_t exact_max_regs = 192;
 
   /// Also consider TPG paths through modules held in an identity mode
   /// (extension; widens the embedding space at zero area cost — see

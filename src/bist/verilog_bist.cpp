@@ -1,42 +1,18 @@
 #include "bist/verilog_bist.hpp"
 
-#include <cctype>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "bist/session_sim.hpp"
 #include "bist/sessions.hpp"
+#include "rtl/verilog.hpp"
 #include "support/check.hpp"
 #include "support/lfsr.hpp"
 
 namespace lbist {
 
 namespace {
-
-std::string ident(std::string s) {
-  for (char& c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-      c = '_';
-    }
-  }
-  return s;
-}
-
-std::string verilog_op(OpKind k) {
-  switch (k) {
-    case OpKind::Add: return "+";
-    case OpKind::Sub: return "-";
-    case OpKind::Mul: return "*";
-    case OpKind::Div: return "/";
-    case OpKind::And: return "&";
-    case OpKind::Or: return "|";
-    case OpKind::Xor: return "^";
-    case OpKind::Lt: return "<";
-    case OpKind::Gt: return ">";
-  }
-  return "+";
-}
 
 /// One sub-session of the emitted controller: the modules tested together
 /// with one function slot each.
@@ -153,7 +129,7 @@ std::string emit_bist_verilog(const Datapath& dp,
      << "'\n";
   os << kBilboPrimitive << kCbilboPrimitive;
 
-  const std::string top = ident(dp.name) + "_bist";
+  const std::string top = verilog_ident(dp.name) + "_bist";
   os << "\nmodule " << top << " (\n";
   os << "  input  wire clk,\n  input  wire rst,\n";
   os << "  input  wire bist_run,\n";
@@ -162,7 +138,7 @@ std::string emit_bist_verilog(const Datapath& dp,
   std::vector<std::string> ports;
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     if (reg.external_source || reg.dedicated_input) {
       ports.push_back("  input  wire [" + std::to_string(width - 1) +
                       ":0] load_" + rn);
@@ -175,7 +151,7 @@ std::string emit_bist_verilog(const Datapath& dp,
     }
   }
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     ports.push_back("  input  wire [3:0] sel_" + mn + "_l");
     ports.push_back("  input  wire [3:0] sel_" + mn + "_r");
     if (mod.proto.supports.size() > 1) {
@@ -203,12 +179,13 @@ std::string emit_bist_verilog(const Datapath& dp,
   // Register roles per sub-session (mode tables).
   const std::uint32_t taps = primitive_taps(width);
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    const std::string rn = ident(dp.registers[r].name);
+    const std::string rn = verilog_ident(dp.registers[r].name);
     os << "  reg [2:0] bist_mode_" << rn << ";\n";
   }
   os << "\n  always @(*) begin\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    os << "    bist_mode_" << ident(dp.registers[r].name) << " = 3'd1;\n";
+    os << "    bist_mode_" << verilog_ident(dp.registers[r].name)
+       << " = 3'd1;\n";
   }
   os << "    case (sub)\n";
   for (std::size_t si = 0; si < subs.size(); ++si) {
@@ -224,7 +201,7 @@ std::string emit_bist_verilog(const Datapath& dp,
       }
     }
     for (const auto& [r, kind] : role) {
-      const std::string rn = ident(dp.registers[r].name);
+      const std::string rn = verilog_ident(dp.registers[r].name);
       os << "        bist_mode_" << rn << " = init_cycle ? "
          << (kind == 'g' ? "3'd4" : (kind == 's' ? "3'd5" : "3'd4"))
          << " : " << (kind == 'g' ? "3'd2" : (kind == 's' ? "3'd3" : "3'd2"))
@@ -238,7 +215,7 @@ std::string emit_bist_verilog(const Datapath& dp,
   os << "  // ---- registers -------------------------------------------\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     os << "  wire [" << width - 1 << ":0] " << rn << "_d;\n";
     os << "  wire [" << width - 1 << ":0] " << rn << "_q;\n";
     os << "  wire [2:0] mode_" << rn << " = bist_run ? bist_mode_" << rn
@@ -264,7 +241,7 @@ std::string emit_bist_verilog(const Datapath& dp,
 
   // Pattern tap per register (CBILBOs stimulate from the generator half).
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    const std::string rn = ident(dp.registers[r].name);
+    const std::string rn = verilog_ident(dp.registers[r].name);
     os << "  wire [" << width - 1 << ":0] " << rn << "_src = "
        << (solution.roles[r] == BistRole::Cbilbo
                ? ("bist_run ? " + rn + "_pat : " + rn + "_q")
@@ -277,7 +254,7 @@ std::string emit_bist_verilog(const Datapath& dp,
   os << "  // ---- functional units and port muxes ---------------------\n";
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     const DpModule& mod = dp.modules[m];
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     auto emit_port = [&](const char* suffix,
                          const std::set<std::size_t>& sources,
                          std::size_t tpg_reg_for_test) {
@@ -293,9 +270,9 @@ std::string emit_bist_verilog(const Datapath& dp,
          << " = ";
       for (std::size_t i = 0; i + 1 < srcs.size(); ++i) {
         os << "(" << mn << "_" << suffix << "_sel == " << i << ") ? "
-           << ident(dp.registers[srcs[i]].name) << "_src : ";
+           << verilog_ident(dp.registers[srcs[i]].name) << "_src : ";
       }
-      os << ident(dp.registers[srcs.back()].name) << "_src;\n";
+      os << verilog_ident(dp.registers[srcs.back()].name) << "_src;\n";
     };
     const bool testable = solution.embeddings[m].has_value();
     emit_port("l", mod.left_sources,
@@ -347,10 +324,10 @@ std::string emit_bist_verilog(const Datapath& dp,
   os << "  // ---- register input muxes --------------------------------\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     std::vector<std::string> inputs;
     for (std::size_t msrc : reg.source_modules) {
-      inputs.push_back(ident(dp.modules[msrc].name) + "_y");
+      inputs.push_back(verilog_ident(dp.modules[msrc].name) + "_y");
     }
     if (reg.external_source || reg.dedicated_input) {
       inputs.push_back("load_" + rn);
@@ -375,7 +352,7 @@ std::string emit_bist_verilog(const Datapath& dp,
           const auto& e = *solution.embeddings[am.module];
           if (e.sa.has_value() && *e.sa == r) {
             os << "      8'd" << si << ": " << rn << "_test_d = "
-               << ident(dp.modules[am.module].name) << "_y;\n";
+               << verilog_ident(dp.modules[am.module].name) << "_y;\n";
           }
         }
       }
@@ -405,7 +382,7 @@ std::string emit_bist_verilog(const Datapath& dp,
     for (const auto& am : subs[si].active) {
       const auto& e = *solution.embeddings[am.module];
       if (!e.sa.has_value()) continue;
-      os << "            if (" << ident(dp.registers[*e.sa].name)
+      os << "            if (" << verilog_ident(dp.registers[*e.sa].name)
          << "_q !== " << width << "'h" << std::hex << am.golden << std::dec
          << ") bist_pass <= 1'b0;\n";
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <span>
 
 #include "binding/bist_aware_binder.hpp"
 #include "bist/allocator.hpp"
@@ -35,6 +36,7 @@ RegisterBinding bind_registers_annealed(const Dfg& dfg,
                                         const AnnealOptions& opts) {
   RegisterBinding current = bind_registers_bist_aware(dfg, cg, mb);
   if (cg.vars.empty()) return current;
+  const std::span<const LiveInterval> live = cg.live_intervals();
 
   double current_cost = binding_cost(dfg, mb, current, model);
   RegisterBinding best = current;
@@ -51,20 +53,17 @@ RegisterBinding bind_registers_annealed(const Dfg& dfg,
 
     // Move: push one variable into another register it does not conflict
     // with (possibly emptying its old register, which is then dropped).
-    const VarId var = cg.vars[pick_vertex(rng)];
-    const std::size_t vertex = cg.vertex(var);
+    const std::size_t vertex = pick_vertex(rng);
+    const VarId var = cg.vars[vertex];
     const RegId from = current.reg_of[var];
 
     std::vector<std::size_t> targets;
     for (std::size_t r = 0; r < current.num_regs(); ++r) {
       if (r == from.index()) continue;
-      bool ok = true;
-      for (VarId member : current.regs[r]) {
-        if (cg.graph.adjacent(vertex, cg.vertex(member))) {
-          ok = false;
-          break;
-        }
-      }
+      const bool ok = std::none_of(
+          current.regs[r].begin(), current.regs[r].end(), [&](VarId member) {
+            return live[vertex].overlaps(live[cg.vertex(member)]);
+          });
       if (ok) targets.push_back(r);
     }
     if (targets.empty()) continue;

@@ -112,6 +112,16 @@ std::vector<Benchmark> paper_benchmarks() {
   return out;
 }
 
+std::optional<Benchmark> find_benchmark(std::string_view name) {
+  if (name == "ex1") return make_ex1();
+  if (name == "ex2") return make_ex2();
+  if (name == "tseng" || name == "tseng1") return make_tseng1();
+  if (name == "tseng2") return make_tseng2();
+  if (name == "paulin") return make_paulin();
+  if (name == "paulin-loop") return make_paulin_loop();
+  return std::nullopt;
+}
+
 Dfg make_fir(int taps) {
   LBIST_CHECK(taps >= 2, "FIR needs at least two taps");
   Dfg dfg("fir" + std::to_string(taps));

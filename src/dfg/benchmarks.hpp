@@ -31,7 +31,9 @@
 // `make_fir` builds a parameterized FIR filter DFG (unscheduled; use the
 // sched library) for the scaling experiments.
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dfg/parse.hpp"
@@ -60,6 +62,10 @@ struct Benchmark {
 
 /// The five rows of Table I, in paper order.
 [[nodiscard]] std::vector<Benchmark> paper_benchmarks();
+
+/// The built-in benchmark named `name` ("ex1", "ex2", "tseng" or "tseng1",
+/// "tseng2", "paulin", "paulin-loop"), or nullopt for any other name.
+[[nodiscard]] std::optional<Benchmark> find_benchmark(std::string_view name);
 
 /// Parameterized FIR filter: `taps` multiplies plus a balanced adder tree.
 /// Unscheduled; coefficients and sample window are port-resident inputs.

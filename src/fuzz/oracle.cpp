@@ -10,10 +10,10 @@
 #include "core/report.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/lifetime.hpp"
-#include "graph/conflict.hpp"
 #include "obs/events.hpp"
 #include "passes/incremental.hpp"
 #include "passes/pipeline.hpp"
+#include "passes/synth_state.hpp"
 #include "rtl/controller.hpp"
 #include "rtl/ipath.hpp"
 #include "rtl/simulate.hpp"
@@ -44,16 +44,6 @@ std::uint32_t width_mask(int width) {
                      : ((std::uint32_t{1} << width) - 1u);
 }
 
-const char* arm_name(BinderKind kind) {
-  switch (kind) {
-    case BinderKind::Traditional: return "trad";
-    case BinderKind::CliquePartition: return "clique";
-    case BinderKind::BistAware: return "bist";
-    case BinderKind::LoopAware: return "loop";
-    default: return "?";
-  }
-}
-
 /// Deterministic stimulus: vector 0 assigns input i the value i+1 (never
 /// zero, so multiplier chains stay alive); vector 1 mixes the stimulus
 /// seed so each case exercises different data.
@@ -78,15 +68,14 @@ IdMap<VarId, std::uint32_t> make_inputs(const Dfg& dfg, int vec,
 
 /// Mutation self-test: move one variable into a register it conflicts
 /// with.  Returns true if a corruptible pair existed.
-bool corrupt_binding(RegisterBinding& rb, const VarConflictGraph& cg) {
+bool corrupt_binding(RegisterBinding& rb,
+                     const IdMap<VarId, LiveInterval>& lifetimes) {
   for (std::size_t a = 0; a < rb.regs.size(); ++a) {
     for (VarId v : rb.regs[a]) {
-      if (cg.vertex_of[v] < 0) continue;
       for (std::size_t b = 0; b < rb.regs.size(); ++b) {
         if (a == b) continue;
         for (VarId u : rb.regs[b]) {
-          if (cg.vertex_of[u] < 0) continue;
-          if (!cg.graph.adjacent(cg.vertex(v), cg.vertex(u))) continue;
+          if (!lifetimes[v].overlaps(lifetimes[u])) continue;
           // v conflicts with u: moving v into u's register breaks the
           // partition invariant.
           auto& from = rb.regs[a];
@@ -202,7 +191,7 @@ class OracleRun {
   }
 
   void check_arm(BinderKind kind) {
-    const std::string arm = arm_name(kind);
+    const std::string arm = binder_short_name(kind);
     SynthesisOptions so;
     so.binder = kind;
     so.area.bit_width = opts_.width;
@@ -242,10 +231,9 @@ class OracleRun {
                      const SynthesisOptions& so,
                      const SynthesisResult& result) {
     auto lt = compute_lifetimes(dfg_, sched_, so.lifetime);
-    auto cg = build_conflict_graph(dfg_, lt);
     RegisterBinding rb = result.registers;
     if (opts_.inject_binding_bug && kind == BinderKind::Traditional) {
-      corrupt_binding(rb, cg);
+      corrupt_binding(rb, lt);
     }
     try {
       rb.validate(dfg_, lt);

@@ -172,4 +172,14 @@ std::vector<std::size_t> max_clique_through_vertex(
   return mcs;
 }
 
+std::size_t chordal_clique_number(const UndirectedGraph& g) {
+  auto order = perfect_elimination_order(g);
+  LBIST_CHECK(order.has_value(), "graph is not chordal");
+  std::size_t best = 0;
+  for (const auto& clique : elimination_cliques(g, *order)) {
+    best = std::max(best, clique.size());
+  }
+  return best;
+}
+
 }  // namespace lbist

@@ -44,4 +44,9 @@ perfect_elimination_order(const UndirectedGraph& g,
 [[nodiscard]] std::vector<std::size_t> max_clique_through_vertex(
     const UndirectedGraph& g, const std::vector<std::size_t>& order);
 
+/// Size of the largest elimination clique — for a chordal graph its clique
+/// number, which equals its chromatic number.  Throws lbist::Error if the
+/// graph is not chordal.
+[[nodiscard]] std::size_t chordal_clique_number(const UndirectedGraph& g);
+
 }  // namespace lbist

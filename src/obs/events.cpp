@@ -178,4 +178,32 @@ void AlgorithmEvents::write_jsonl(std::ostream& os) const {
   }
 }
 
+std::vector<std::string> binder_decision_lines(
+    const std::vector<AlgorithmEvent>& events) {
+  auto reg = [](const Json& detail, const char* key) {
+    return "R" + std::to_string(detail.at(key).as_int() + 1);
+  };
+  std::vector<std::string> lines;
+  for (const AlgorithmEvent& ev : events) {
+    const Json& d = ev.detail;
+    if (ev.kind == "assign") {
+      const std::string how =
+          d.at("new_register").as_bool()
+              ? "new register"
+              : "dSD=" + std::to_string(d.at("delta_sd").as_int());
+      lines.push_back("assign " + d.at("var").as_string() + " -> " +
+                      reg(d, "reg") + " (" + how + ")");
+    } else if (ev.kind == "case_override") {
+      lines.push_back("case override: " + d.at("var").as_string() +
+                      " prefers " + reg(d, "to_reg") + " over " +
+                      reg(d, "from_reg"));
+    } else if (ev.kind == "cbilbo_avoided") {
+      lines.push_back("CBILBO avoidance: " + d.at("var").as_string() +
+                      " moved to " + reg(d, "to_reg") + " (" +
+                      reg(d, "from_reg") + " would force a CBILBO)");
+    }
+  }
+  return lines;
+}
+
 }  // namespace lbist

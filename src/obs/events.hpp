@@ -117,4 +117,13 @@ class AlgorithmEvents {
   std::map<std::string, std::uint64_t, std::less<>> counts_;
 };
 
+/// The register binder's decision log: one line per `assign`,
+/// `case_override` and `cbilbo_avoided` event of `events`, in record order,
+/// registers numbered from R1:
+///   "assign d -> R1 (new register)", "assign h -> R1 (dSD=1)",
+///   "case override: b prefers R2 over R3",
+///   "CBILBO avoidance: x moved to R2 (R1 would force a CBILBO)".
+[[nodiscard]] std::vector<std::string> binder_decision_lines(
+    const std::vector<AlgorithmEvent>& events);
+
 }  // namespace lbist

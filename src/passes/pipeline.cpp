@@ -13,6 +13,7 @@
 #include "dfg/parse.hpp"
 #include "obs/trace.hpp"
 #include "support/check.hpp"
+#include "support/hash.hpp"
 #include "support/version.hpp"
 
 namespace lbist {
@@ -21,18 +22,9 @@ namespace {
 
 // ---- Canonical fingerprint keys ------------------------------------------
 //
-// Every pass hashes a canonical string of its inputs with FNV-1a.  The
+// Every pass hashes a canonical string of its inputs with `fnv1a64`.  The
 // strings are built from ids, flags and exactly-printed doubles, so two
 // states fingerprint equal iff the pass would read identical inputs.
-
-std::uint64_t fnv(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void append_num(std::string& out, long long v) {
   out += std::to_string(v);
@@ -426,7 +418,7 @@ class SchedPass final : public Pass {
     key += "|spec=" + spec_key(state.protos());
     key += "|lt=";
     key += state.options().lifetime.hold_outputs_to_end ? '1' : '0';
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -458,7 +450,7 @@ class ConflictGraphPass final : public Pass {
     for (const Variable& v : state.dfg().vars()) {
       key += v.allocatable() ? '1' : '0';
     }
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -479,7 +471,7 @@ class BindingPass final : public Pass {
       case BinderKind::BistAware:
         result.registers =
             bind_registers_bist_aware(state.dfg(), state.cg, result.modules,
-                                      opts.bist_binder, nullptr, opts.events);
+                                      opts.bist_binder, opts.events);
         break;
       case BinderKind::Ralloc:
         result.registers =
@@ -547,7 +539,7 @@ class BindingPass final : public Pass {
     key += structural_key(state.dfg(), state.sched());
     key += "|lt:" + lifetimes_key(state.result.lifetimes);
     key += "|mo:" + module_of_key(state.result.modules, state.dfg());
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -588,7 +580,7 @@ class InterconnectPass final : public Pass {
     key += "|spec=" + spec_key(state.protos());
     key += "|mo:" + module_of_key(state.result.modules, state.dfg());
     key += "|rb:" + registers_key(state.result.registers);
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 
@@ -652,7 +644,7 @@ class BistPass final : public Pass {
     key += area_key(opts.area);
     key += '|';
     key += datapath_to_json(state.result.datapath).dump_compact();
-    return fnv(key);
+    return fnv1a64(key);
   }
 };
 

@@ -16,14 +16,39 @@ const char* binder_kind_name(BinderKind kind) {
   return "?";
 }
 
+namespace {
+
+constexpr BinderKind kAllBinders[] = {
+    BinderKind::Traditional,     BinderKind::BistAware,
+    BinderKind::Ralloc,          BinderKind::Syntest,
+    BinderKind::CliquePartition, BinderKind::LoopAware};
+
+}  // namespace
+
 BinderKind binder_kind_from_name(std::string_view name) {
-  for (BinderKind kind :
-       {BinderKind::Traditional, BinderKind::BistAware, BinderKind::Ralloc,
-        BinderKind::Syntest, BinderKind::CliquePartition,
-        BinderKind::LoopAware}) {
+  for (BinderKind kind : kAllBinders) {
     if (name == binder_kind_name(kind)) return kind;
   }
   throw Error("unknown binder name: " + std::string(name));
+}
+
+const char* binder_short_name(BinderKind kind) {
+  switch (kind) {
+    case BinderKind::Traditional: return "trad";
+    case BinderKind::BistAware: return "bist";
+    case BinderKind::Ralloc: return "ralloc";
+    case BinderKind::Syntest: return "syntest";
+    case BinderKind::CliquePartition: return "clique";
+    case BinderKind::LoopAware: return "loop";
+  }
+  return "?";
+}
+
+std::optional<BinderKind> binder_from_short_name(std::string_view name) {
+  for (BinderKind kind : kAllBinders) {
+    if (name == binder_short_name(kind)) return kind;
+  }
+  return std::nullopt;
 }
 
 SynthState::SynthState(std::unique_ptr<ParsedDfg> design,

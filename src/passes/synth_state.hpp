@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,15 @@ namespace lbist {
 
 /// Parses a canonical binder name; throws lbist::Error on unknown names.
 [[nodiscard]] BinderKind binder_kind_from_name(std::string_view name);
+
+/// Short binder name used on the command line, in batch jobs and in fuzz
+/// arm labels: "trad", "bist", "ralloc", "syntest", "clique", "loop".
+[[nodiscard]] const char* binder_short_name(BinderKind kind);
+
+/// Parses a short binder name; nullopt on unknown names (each surface
+/// reports those in its own words).
+[[nodiscard]] std::optional<BinderKind> binder_from_short_name(
+    std::string_view name);
 
 /// Pipeline state threaded through the passes.  Move-only: it may borrow
 /// the caller's DFG/schedule and holds the partially-built result.

@@ -69,8 +69,9 @@ struct Datapath {
   /// Per operation: routing of (lhs, rhs) to module ports.
   IdMap<OpId, std::pair<OperandRoute, OperandRoute>> routes;
 
-  /// Total number of 2:1-equivalent multiplexers: every destination with k
-  /// sources costs k-1 (module input ports and register inputs alike).
+  /// Number of multiplexers, the paper's "# Mux" column: one per
+  /// destination (module input port or register input) with two or more
+  /// sources.  The area model charges a k-input mux separately.
   [[nodiscard]] int mux_count() const;
 
   /// Registers that are simultaneously a source and a destination of the

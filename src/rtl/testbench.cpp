@@ -1,38 +1,17 @@
 #include "rtl/testbench.hpp"
 
-#include <cctype>
 #include <sstream>
 
-#include "support/check.hpp"
+#include "rtl/verilog.hpp"
 
 namespace lbist {
-
-namespace {
-
-std::string ident(std::string s) {
-  for (char& c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-      c = '_';
-    }
-  }
-  return s;
-}
-
-int kind_index(const ModuleProto& proto, OpKind kind) {
-  for (std::size_t i = 0; i < proto.supports.size(); ++i) {
-    if (proto.supports[i] == kind) return static_cast<int>(i);
-  }
-  throw Error("module does not implement the scheduled operation kind");
-}
-
-}  // namespace
 
 std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
                            const Controller& ctl,
                            const IdMap<VarId, std::uint32_t>& inputs,
                            const SimResult& sim, int width) {
   std::ostringstream os;
-  const std::string dut = ident(dp.name);
+  const std::string dut = verilog_ident(dp.name);
   os << "// Self-checking testbench generated by lowbist\n";
   os << "`timescale 1ns/1ps\n";
   os << "module " << dut << "_tb;\n";
@@ -42,7 +21,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
   // Control and data registers, one per DUT input port.
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     if (reg.external_source || reg.dedicated_input) {
       os << "  reg [" << width - 1 << ":0] load_" << rn << " = 0;\n";
     }
@@ -56,7 +35,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
     }
   }
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     if (mod.left_sources.size() > 1) os << "  reg [3:0] sel_" << mn
                                         << "_l = 0;\n";
     if (mod.right_sources.size() > 1) os << "  reg [3:0] sel_" << mn
@@ -70,7 +49,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
   os << "\n  " << dut << " dut(\n    .clk(clk), .rst(rst)";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     if (reg.external_source || reg.dedicated_input) {
       os << ",\n    .load_" << rn << "(load_" << rn << ")";
     }
@@ -83,7 +62,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
                               << ")";
   }
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     if (mod.left_sources.size() > 1) {
       os << ",\n    .sel_" << mn << "_l(sel_" << mn << "_l)";
     }
@@ -107,7 +86,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
     os << "    // control step " << step << "\n";
     for (std::size_t r = 0; r < dp.registers.size(); ++r) {
       const auto& reg = dp.registers[r];
-      const std::string rn = ident(reg.name);
+      const std::string rn = verilog_ident(reg.name);
       const RegControl& rc = word.regs[r];
       os << "    en_" << rn << " = " << (rc.enable ? 1 : 0) << ";";
       const std::size_t n_src =
@@ -125,7 +104,7 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
       const ModuleControl& mc = word.modules[m];
       if (!mc.active) continue;
       const auto& mod = dp.modules[m];
-      const std::string mn = ident(mod.name);
+      const std::string mn = verilog_ident(mod.name);
       if (mod.left_sources.size() > 1) {
         os << "    sel_" << mn << "_l = " << mc.left_select << ";\n";
       }
@@ -147,9 +126,10 @@ std::string emit_testbench(const Dfg& dfg, const Datapath& dp,
     // The register's sole end-of-schedule output variable.
     for (VarId v : reg.vars) {
       if (!dfg.var(v).is_output) continue;
-      os << "    if (out_" << ident(reg.name) << " !== " << sim.observed[v]
+      const std::string rn = verilog_ident(reg.name);
+      os << "    if (out_" << rn << " !== " << sim.observed[v]
          << ") begin errors = errors + 1; $display(\"FAIL " << dfg.var(v).name
-         << ": %0d\", out_" << ident(reg.name) << "); end\n";
+         << ": %0d\", out_" << rn << "); end\n";
     }
   }
   os << "    if (errors == 0) $display(\"PASS\");\n";

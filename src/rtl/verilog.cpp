@@ -4,38 +4,16 @@
 #include <sstream>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace lbist {
 
 namespace {
-
-std::string ident(std::string s) {
-  for (char& c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-      c = '_';
-    }
-  }
-  return s;
-}
 
 int select_bits(std::size_t n_inputs) {
   int bits = 1;
   while ((std::size_t{1} << bits) < n_inputs) ++bits;
   return bits;
-}
-
-std::string verilog_op(OpKind k) {
-  switch (k) {
-    case OpKind::Add: return "+";
-    case OpKind::Sub: return "-";
-    case OpKind::Mul: return "*";
-    case OpKind::Div: return "/";
-    case OpKind::And: return "&";
-    case OpKind::Or: return "|";
-    case OpKind::Xor: return "^";
-    case OpKind::Lt: return "<";
-    case OpKind::Gt: return ">";
-  }
-  return "+";
 }
 
 /// Emits `wire [W-1:0] out = mux(sel, inputs...)` as a conditional chain.
@@ -55,11 +33,42 @@ void emit_mux(std::ostringstream& os, const std::string& out,
 
 }  // namespace
 
+std::string verilog_ident(std::string s) {
+  for (char& c : s) {
+    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')) {
+      c = '_';
+    }
+  }
+  return s;
+}
+
+const char* verilog_op(OpKind k) {
+  switch (k) {
+    case OpKind::Add: return "+";
+    case OpKind::Sub: return "-";
+    case OpKind::Mul: return "*";
+    case OpKind::Div: return "/";
+    case OpKind::And: return "&";
+    case OpKind::Or: return "|";
+    case OpKind::Xor: return "^";
+    case OpKind::Lt: return "<";
+    case OpKind::Gt: return ">";
+  }
+  return "+";
+}
+
+int kind_index(const ModuleProto& proto, OpKind kind) {
+  for (std::size_t i = 0; i < proto.supports.size(); ++i) {
+    if (proto.supports[i] == kind) return static_cast<int>(i);
+  }
+  throw Error("module does not implement the scheduled operation kind");
+}
+
 std::string emit_verilog(const Datapath& dp, int bit_width) {
   const int w = bit_width;
   std::ostringstream os;
   os << "// Generated by lowbist from datapath '" << dp.name << "'\n";
-  os << "module " << ident(dp.name) << " (\n";
+  os << "module " << verilog_ident(dp.name) << " (\n";
   os << "  input  wire clk,\n";
   os << "  input  wire rst,\n";
 
@@ -69,20 +78,20 @@ std::string emit_verilog(const Datapath& dp, int bit_width) {
     const auto& reg = dp.registers[r];
     if (reg.external_source || reg.dedicated_input) {
       port_decls.push_back("  input  wire [" + std::to_string(w - 1) +
-                           ":0] load_" + ident(reg.name));
+                           ":0] load_" + verilog_ident(reg.name));
     }
-    port_decls.push_back("  input  wire en_" + ident(reg.name));
+    port_decls.push_back("  input  wire en_" + verilog_ident(reg.name));
     const std::size_t n_src =
         reg.source_modules.size() +
         ((reg.external_source || reg.dedicated_input) ? 1u : 0u);
     if (n_src > 1) {
       port_decls.push_back("  input  wire [" +
                            std::to_string(select_bits(n_src) - 1) +
-                           ":0] sel_" + ident(reg.name));
+                           ":0] sel_" + verilog_ident(reg.name));
     }
     if (reg.drives_output) {
       port_decls.push_back("  output wire [" + std::to_string(w - 1) +
-                           ":0] out_" + ident(reg.name));
+                           ":0] out_" + verilog_ident(reg.name));
     }
   }
   for (const auto& mod : dp.modules) {
@@ -90,19 +99,19 @@ std::string emit_verilog(const Datapath& dp, int bit_width) {
       port_decls.push_back(
           "  input  wire [" +
           std::to_string(select_bits(mod.left_sources.size()) - 1) +
-          ":0] sel_" + ident(mod.name) + "_l");
+          ":0] sel_" + verilog_ident(mod.name) + "_l");
     }
     if (mod.right_sources.size() > 1) {
       port_decls.push_back(
           "  input  wire [" +
           std::to_string(select_bits(mod.right_sources.size()) - 1) +
-          ":0] sel_" + ident(mod.name) + "_r");
+          ":0] sel_" + verilog_ident(mod.name) + "_r");
     }
     if (mod.proto.supports.size() > 1) {
-      port_decls.push_back("  input  wire [3:0] op_" + ident(mod.name));
+      port_decls.push_back("  input  wire [3:0] op_" + verilog_ident(mod.name));
     }
     if (mod.drives_control) {
-      port_decls.push_back("  output wire ctrl_" + ident(mod.name));
+      port_decls.push_back("  output wire ctrl_" + verilog_ident(mod.name));
     }
   }
   for (std::size_t i = 0; i < port_decls.size(); ++i) {
@@ -111,19 +120,19 @@ std::string emit_verilog(const Datapath& dp, int bit_width) {
   os << ");\n\n";
 
   for (const auto& reg : dp.registers) {
-    os << "  reg [" << w - 1 << ":0] " << ident(reg.name) << "_q;\n";
+    os << "  reg [" << w - 1 << ":0] " << verilog_ident(reg.name) << "_q;\n";
   }
   os << "\n";
 
   // Module input muxes and functional units.
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     std::vector<std::string> l_in, r_in;
     for (std::size_t r : mod.left_sources) {
-      l_in.push_back(ident(dp.registers[r].name) + "_q");
+      l_in.push_back(verilog_ident(dp.registers[r].name) + "_q");
     }
     for (std::size_t r : mod.right_sources) {
-      r_in.push_back(ident(dp.registers[r].name) + "_q");
+      r_in.push_back(verilog_ident(dp.registers[r].name) + "_q");
     }
     emit_mux(os, mn + "_l", "sel_" + mn + "_l", l_in, w);
     emit_mux(os, mn + "_r", "sel_" + mn + "_r", r_in, w);
@@ -150,10 +159,10 @@ std::string emit_verilog(const Datapath& dp, int bit_width) {
 
   // Registers with input muxes.
   for (const auto& reg : dp.registers) {
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     std::vector<std::string> inputs;
     for (std::size_t msrc : reg.source_modules) {
-      inputs.push_back(ident(dp.modules[msrc].name) + "_y");
+      inputs.push_back(verilog_ident(dp.modules[msrc].name) + "_y");
     }
     if (reg.external_source || reg.dedicated_input) {
       inputs.push_back("load_" + rn);

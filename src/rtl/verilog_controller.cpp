@@ -1,36 +1,15 @@
 #include "rtl/verilog_controller.hpp"
 
-#include <cctype>
 #include <sstream>
 
-#include "support/check.hpp"
+#include "rtl/verilog.hpp"
 
 namespace lbist {
-
-namespace {
-
-std::string ident(std::string s) {
-  for (char& c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_')) {
-      c = '_';
-    }
-  }
-  return s;
-}
-
-int kind_index(const ModuleProto& proto, OpKind kind) {
-  for (std::size_t i = 0; i < proto.supports.size(); ++i) {
-    if (proto.supports[i] == kind) return static_cast<int>(i);
-  }
-  throw Error("module does not implement the scheduled operation kind");
-}
-
-}  // namespace
 
 std::string emit_controller_verilog(const Datapath& dp,
                                     const Controller& ctl) {
   std::ostringstream os;
-  const std::string name = ident(dp.name) + "_ctrl";
+  const std::string name = verilog_ident(dp.name) + "_ctrl";
   os << "// Functional-mode controller generated by lowbist for '"
      << dp.name << "'\n";
   os << "module " << name << " (\n";
@@ -40,7 +19,7 @@ std::string emit_controller_verilog(const Datapath& dp,
   // Output declarations mirror the data path's control inputs.
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     os << ",\n  output reg  en_" << rn;
     const std::size_t n_src =
         reg.source_modules.size() +
@@ -48,7 +27,7 @@ std::string emit_controller_verilog(const Datapath& dp,
     if (n_src > 1) os << ",\n  output reg  [3:0] sel_" << rn;
   }
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     if (mod.left_sources.size() > 1) os << ",\n  output reg  [3:0] sel_"
                                         << mn << "_l";
     if (mod.right_sources.size() > 1) os << ",\n  output reg  [3:0] sel_"
@@ -65,7 +44,7 @@ std::string emit_controller_verilog(const Datapath& dp,
   os << "  always @(*) begin\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
     const auto& reg = dp.registers[r];
-    const std::string rn = ident(reg.name);
+    const std::string rn = verilog_ident(reg.name);
     os << "    en_" << rn << " = 1'b0;\n";
     const std::size_t n_src =
         reg.source_modules.size() +
@@ -73,7 +52,7 @@ std::string emit_controller_verilog(const Datapath& dp,
     if (n_src > 1) os << "    sel_" << rn << " = 4'd0;\n";
   }
   for (const auto& mod : dp.modules) {
-    const std::string mn = ident(mod.name);
+    const std::string mn = verilog_ident(mod.name);
     if (mod.left_sources.size() > 1) os << "    sel_" << mn
                                         << "_l = 4'd0;\n";
     if (mod.right_sources.size() > 1) os << "    sel_" << mn
@@ -88,7 +67,7 @@ std::string emit_controller_verilog(const Datapath& dp,
       const RegControl& rc = word.regs[r];
       if (!rc.enable) continue;
       const auto& reg = dp.registers[r];
-      const std::string rn = ident(reg.name);
+      const std::string rn = verilog_ident(reg.name);
       os << "          en_" << rn << " = 1'b1;\n";
       const std::size_t n_src =
           reg.source_modules.size() +
@@ -101,7 +80,7 @@ std::string emit_controller_verilog(const Datapath& dp,
       const ModuleControl& mc = word.modules[m];
       if (!mc.active) continue;
       const auto& mod = dp.modules[m];
-      const std::string mn = ident(mod.name);
+      const std::string mn = verilog_ident(mod.name);
       if (mod.left_sources.size() > 1) {
         os << "          sel_" << mn << "_l = 4'd" << mc.left_select
            << ";\n";

@@ -12,6 +12,7 @@
 #include "dfg/parse.hpp"
 #include "obs/events.hpp"
 #include "obs/trace.hpp"
+#include "passes/synth_state.hpp"
 #include "sched/list_sched.hpp"
 #include "service/thread_pool.hpp"
 
@@ -19,33 +20,16 @@ namespace lbist {
 
 namespace {
 
-BinderKind binder_from_name(const std::string& name) {
-  if (name == "trad") return BinderKind::Traditional;
-  if (name == "bist") return BinderKind::BistAware;
-  if (name == "ralloc") return BinderKind::Ralloc;
-  if (name == "syntest") return BinderKind::Syntest;
-  if (name == "clique") return BinderKind::CliquePartition;
-  if (name == "loop") return BinderKind::LoopAware;
-  throw Error("unknown binder: " + name);
-}
-
-Benchmark builtin_benchmark(const std::string& name) {
-  if (name == "ex1") return make_ex1();
-  if (name == "ex2") return make_ex2();
-  if (name == "tseng" || name == "tseng1") return make_tseng1();
-  if (name == "tseng2") return make_tseng2();
-  if (name == "paulin") return make_paulin();
-  if (name == "paulin-loop") return make_paulin_loop();
-  throw Error("unknown built-in benchmark: " + name);
-}
-
 /// Loads the job's design; fills `spec_hint` with the benchmark's pinned
 /// module spec when the job names a built-in.
 ParsedDfg load_job_design(const BatchJob& job, std::string* spec_hint) {
   if (!job.bench.empty()) {
-    Benchmark b = builtin_benchmark(job.bench);
-    *spec_hint = b.module_spec;
-    return std::move(b.design);
+    std::optional<Benchmark> b = find_benchmark(job.bench);
+    if (!b.has_value()) {
+      throw Error("unknown built-in benchmark: " + job.bench);
+    }
+    *spec_hint = b->module_spec;
+    return std::move(b->design);
   }
   if (!job.design_path.empty()) {
     std::ifstream in(job.design_path);
@@ -81,7 +65,9 @@ Json synthesize_job(const BatchJob& job, SynthesisCache& cache,
                                    : parse_module_spec(spec);
 
   SynthesisOptions opts;
-  opts.binder = binder_from_name(job.binder);
+  const std::optional<BinderKind> binder = binder_from_short_name(job.binder);
+  if (!binder.has_value()) throw Error("unknown binder: " + job.binder);
+  opts.binder = *binder;
   opts.area.bit_width = job.width;
   opts.trace = trace;
   opts.events = events;

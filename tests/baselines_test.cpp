@@ -8,7 +8,7 @@
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/lifetime.hpp"
-#include "graph/coloring.hpp"
+#include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
 #include "interconnect/build_datapath.hpp"
 

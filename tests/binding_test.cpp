@@ -1,5 +1,6 @@
 // Unit tests for the binding library: module specs, module binding, sharing
-// degrees, the Lemma-2 CBILBO conditions and both register binders.
+// degrees, the Lemma-2 CBILBO conditions, the register file and both
+// register binders.
 
 #include <gtest/gtest.h>
 
@@ -11,8 +12,9 @@
 #include "binding/traditional_binder.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/lifetime.hpp"
-#include "graph/coloring.hpp"
+#include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "obs/events.hpp"
 #include "support/check.hpp"
 
 namespace lbist {
@@ -226,11 +228,23 @@ TEST(BistAwareBinder, NoForcedCbilboOnEx1) {
 
 TEST(BistAwareBinder, TraceExplainsDecisions) {
   Ex1 f;
-  std::vector<std::string> trace;
+  AlgorithmEvents events;
   auto rb = bind_registers_bist_aware(f.bench.design.dfg, f.cg, f.mb, {},
-                                      &trace);
-  EXPECT_EQ(trace.size() >= f.cg.vars.size(), true);
-  (void)rb;
+                                      &events);
+  // One assign line per variable, in coloring order, plus the one Case
+  // override ex1 triggers.
+  const std::vector<std::string> expected = {
+      "assign d -> R1 (new register)",
+      "assign f -> R2 (new register)",
+      "assign g -> R2 (dSD=1)",
+      "assign e -> R3 (new register)",
+      "assign c -> R2 (dSD=1)",
+      "case override: b prefers R2 over R3",
+      "assign b -> R2 (dSD=0)",
+      "assign a -> R3 (dSD=1)",
+      "assign h -> R1 (dSD=1)"};
+  EXPECT_EQ(binder_decision_lines(events.snapshot()), expected);
+  EXPECT_EQ(rb.to_string(f.bench.design.dfg), "R1={d,h} R2={f,g,c,b} R3={e,a}");
 }
 
 TEST(BistAwareBinder, OptionsAreHonored) {
@@ -245,6 +259,26 @@ TEST(BistAwareBinder, OptionsAreHonored) {
   auto rb = bind_registers_bist_aware(f.bench.design.dfg, f.cg, f.mb, off);
   rb.validate(f.bench.design.dfg, f.lt);
   EXPECT_EQ(rb.num_regs(), 3u);
+}
+
+TEST(RegisterFile, BuildsTheBindingInAssignmentOrder) {
+  Ex1 f;
+  const Dfg& dfg = f.bench.design.dfg;
+  RegisterFile file(dfg.num_vars());
+  EXPECT_EQ(file.size(), 0u);
+  file.assign(0, f.v("g"), f.lt[f.v("g")]);  // r == size() opens R1
+  EXPECT_FALSE(file.fits(0, f.lt[f.v("d")]));  // d (1,4] meets g (3,4]
+  EXPECT_TRUE(file.fits(0, f.lt[f.v("c")]));   // c (1,2] does not
+  file.assign(0, f.v("c"), f.lt[f.v("c")]);
+  file.assign(1, f.v("d"), f.lt[f.v("d")]);
+  EXPECT_EQ(file.size(), 2u);
+  const RegisterBinding& rb = file.binding();
+  EXPECT_EQ(rb.regs[0], (std::vector<VarId>{f.v("g"), f.v("c")}));
+  EXPECT_EQ(rb.reg_of[f.v("c")], RegId{0});
+  EXPECT_EQ(rb.reg_of[f.v("d")], RegId{1});
+  EXPECT_FALSE(rb.reg_of[f.v("a")].valid());
+  EXPECT_THROW(file.assign(1, f.v("a"), LiveInterval{3, 3}), Error);
+  EXPECT_EQ(file.take().to_string(dfg), "R1={g,c} R2={d}");
 }
 
 TEST(RegisterBinding, ValidateCatchesConflicts) {

@@ -7,7 +7,7 @@
 #include "dfg/lifetime.hpp"
 #include "graph/clique_partition.hpp"
 #include "graph/conflict.hpp"
-#include "graph/coloring.hpp"
+#include "graph/chordal.hpp"
 
 namespace lbist {
 namespace {

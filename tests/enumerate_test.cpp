@@ -6,7 +6,6 @@
 #include "binding/enumerate.hpp"
 #include "core/annealed_binder.hpp"
 #include "dfg/benchmarks.hpp"
-#include "graph/coloring.hpp"
 #include "graph/conflict.hpp"
 
 namespace lbist {

@@ -1,5 +1,6 @@
 // Unit tests for the graph library: undirected graphs, chordality, PVES
-// construction, elimination cliques, coloring, and conflict-graph building.
+// construction, elimination cliques, clique numbers, and conflict-graph
+// building.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,6 @@
 #include "dfg/lifetime.hpp"
 #include "graph/bron_kerbosch.hpp"
 #include "graph/chordal.hpp"
-#include "graph/coloring.hpp"
 #include "graph/conflict.hpp"
 #include "graph/undirected_graph.hpp"
 #include "support/check.hpp"
@@ -123,7 +123,7 @@ TEST(Chordal, MaxCliqueThroughVertex) {
   EXPECT_EQ(mcs[3], 2u);
 }
 
-TEST(Coloring, GreedyOnReversePeoIsOptimalForChordal) {
+TEST(Chordal, CliqueNumberOfTriangleWithTail) {
   UndirectedGraph g(5);
   // K3 plus pendant vertices.
   g.add_edge(0, 1);
@@ -131,22 +131,8 @@ TEST(Coloring, GreedyOnReversePeoIsOptimalForChordal) {
   g.add_edge(1, 2);
   g.add_edge(2, 3);
   g.add_edge(3, 4);
-  auto peo = perfect_elimination_order(g);
-  ASSERT_TRUE(peo.has_value());
-  std::vector<std::size_t> order(peo->rbegin(), peo->rend());
-  Coloring c = greedy_color(g, order);
-  EXPECT_TRUE(is_proper_coloring(g, c));
-  EXPECT_EQ(c.num_colors, 3u);
   EXPECT_EQ(chordal_clique_number(g), 3u);
-}
-
-TEST(Coloring, ProperColoringDetectsViolation) {
-  UndirectedGraph g(2);
-  g.add_edge(0, 1);
-  Coloring c;
-  c.color = {0, 0};
-  c.num_colors = 1;
-  EXPECT_FALSE(is_proper_coloring(g, c));
+  EXPECT_THROW((void)chordal_clique_number(cycle4()), Error);
 }
 
 TEST(ConflictGraph, Ex1IsIntervalAndHasCliqueNumberThree) {

@@ -11,7 +11,6 @@
 #include "core/report.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
-#include "graph/coloring.hpp"
 #include "graph/conflict.hpp"
 #include "passes/pipeline.hpp"
 

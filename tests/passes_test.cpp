@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "binding/module_binding.hpp"
@@ -16,6 +17,7 @@
 #include "dfg/parse.hpp"
 #include "passes/incremental.hpp"
 #include "passes/pipeline.hpp"
+#include "passes/synth_state.hpp"
 #include "service/cache.hpp"
 #include "support/check.hpp"
 #include "support/version.hpp"
@@ -60,6 +62,19 @@ TEST(Pipeline, BinderNamesRoundTrip) {
     EXPECT_EQ(binder_kind_from_name(binder_kind_name(kind)), kind);
   }
   EXPECT_THROW((void)binder_kind_from_name("left-edge"), Error);
+}
+
+TEST(Pipeline, BinderShortNamesRoundTrip) {
+  const std::vector<std::pair<BinderKind, std::string>> expected = {
+      {BinderKind::Traditional, "trad"},     {BinderKind::BistAware, "bist"},
+      {BinderKind::Ralloc, "ralloc"},        {BinderKind::Syntest, "syntest"},
+      {BinderKind::CliquePartition, "clique"}, {BinderKind::LoopAware, "loop"}};
+  for (const auto& [kind, name] : expected) {
+    EXPECT_EQ(binder_short_name(kind), name);
+    EXPECT_EQ(binder_from_short_name(name), kind);
+  }
+  EXPECT_FALSE(binder_from_short_name("traditional").has_value());
+  EXPECT_FALSE(binder_from_short_name("").has_value());
 }
 
 /// Every stage boundary of every binder arm round-trips: snapshot at the

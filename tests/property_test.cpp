@@ -21,7 +21,6 @@
 #include "dfg/parse.hpp"
 #include "dfg/random_dfg.hpp"
 #include "graph/chordal.hpp"
-#include "graph/coloring.hpp"
 #include "graph/conflict.hpp"
 #include "interconnect/build_datapath.hpp"
 #include "rtl/ipath.hpp"

@@ -135,7 +135,10 @@ TEST_P(SimAllBenchmarks, EveryBinderExecutesCorrectly) {
   auto mb = ModuleBinding::bind(dfg, sched, protos);
 
   check_simulation(dfg, sched, protos, bind_registers_traditional(dfg, cg, lt));
-  check_simulation(dfg, sched, protos, bind_registers_reverse_peo(dfg, cg));
+  // Every BistBinderOptions switch off: first-fit in reverse PVES order.
+  const BistBinderOptions first_fit{false, false, false, false};
+  check_simulation(dfg, sched, protos,
+                   bind_registers_bist_aware(dfg, cg, mb, first_fit));
   check_simulation(dfg, sched, protos, bind_registers_bist_aware(dfg, cg, mb));
   check_simulation(dfg, sched, protos, bind_registers_ralloc(dfg, cg, mb));
   check_simulation(dfg, sched, protos, bind_registers_syntest(dfg, cg, mb));

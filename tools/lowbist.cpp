@@ -7,8 +7,9 @@
 //   lowbist tables
 //       Print the paper's Tables I-III on the built-in benchmarks.
 //   lowbist bench <name>
-//       Print a built-in benchmark (ex1, ex2, tseng, paulin) in the
-//       textual DFG format (pipe into a file to start hacking on it).
+//       Print a built-in benchmark (ex1, ex2, tseng or tseng1, tseng2,
+//       paulin, paulin-loop) in the textual DFG format (pipe into a file
+//       to start hacking on it).
 //   lowbist schedule <design.dfg> [--fu "2*"]... [--latency N]
 //       Schedule an unannotated design (resource-constrained list
 //       scheduling, or force-directed when --latency is given) and print
@@ -104,7 +105,6 @@
 #include <string_view>
 #include <vector>
 
-#include "binding/bist_aware_binder.hpp"
 #include "bist/selftest.hpp"
 #include "bist/verilog_bist.hpp"
 #include "bist/test_length.hpp"
@@ -121,7 +121,6 @@
 #include "obs/profiler.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
-#include "graph/conflict.hpp"
 #include "passes/pipeline.hpp"
 #include "support/version.hpp"
 #include "rtl/controller.hpp"
@@ -210,7 +209,7 @@ struct CliOptions {
       "  lowbist synth --resume-from <snap.json|-> [--dump-ir STAGE]\n"
       "  lowbist compare <design.dfg> [--modules SPEC] [--width N]\n"
       "  lowbist tables\n"
-      "  lowbist bench <ex1|ex2|tseng|paulin>\n"
+      "  lowbist bench <ex1|ex2|tseng|tseng1|tseng2|paulin|paulin-loop>\n"
       "  lowbist schedule <design.dfg> [--fu \"2*\"]... [--latency N]\n"
       "  lowbist optimize <design.dfg>\n"
       "  lowbist batch <jobs.jsonl|-> [-j N] [--metrics out.json]\n"
@@ -520,13 +519,9 @@ ParsedDfg load_design(const std::string& path) {
 }
 
 BinderKind binder_from_name(const std::string& name) {
-  if (name == "trad") return BinderKind::Traditional;
-  if (name == "bist") return BinderKind::BistAware;
-  if (name == "ralloc") return BinderKind::Ralloc;
-  if (name == "syntest") return BinderKind::Syntest;
-  if (name == "clique") return BinderKind::CliquePartition;
-  if (name == "loop") return BinderKind::LoopAware;
-  usage("unknown binder: " + name);
+  const std::optional<BinderKind> kind = binder_from_short_name(name);
+  if (!kind.has_value()) usage("unknown binder: " + name);
+  return *kind;
 }
 
 std::string read_manifest(const std::string& path);
@@ -568,19 +563,23 @@ int cmd_synth(const CliOptions& cli) {
 
   const Dfg& dfg = state->dfg();
   const Schedule& sched = state->sched();
-  const SynthesisOptions opts = state->options();
 
-  if (cli.decisions && opts.binder == BinderKind::BistAware) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto cg = build_conflict_graph(dfg, lt);
-    auto mb = ModuleBinding::bind(dfg, sched, state->protos());
-    std::vector<std::string> trace;
-    auto rb = bind_registers_bist_aware(dfg, cg, mb,
-                                        opts.bist_binder, &trace);
-    (void)rb;
-    std::cout << "--- binder trace ---\n";
-    for (const auto& line : trace) std::cout << "  " << line << "\n";
+  // --decisions renders the binding pass's own events, so it needs a sink
+  // that keeps them: the --trace-events one, or a private one.
+  const bool decisions =
+      cli.decisions && state->options().binder == BinderKind::BistAware;
+  AlgorithmEvents decision_events;
+  if (decisions && obs.events == nullptr) {
+    state->options().events = &decision_events;
   }
+  auto print_decisions = [&] {
+    if (!decisions) return;
+    std::cout << "--- binder trace ---\n";
+    for (const std::string& line :
+         binder_decision_lines(state->options().events->snapshot())) {
+      std::cout << "  " << line << "\n";
+    }
+  };
 
   if (cli.dump_ir.has_value()) {
     // Stop after the named pass and emit the snapshot instead of a report.
@@ -588,6 +587,7 @@ int cmd_synth(const CliOptions& cli) {
     LBIST_CHECK(state->completed <= end,
                 "snapshot is already past stage " + *cli.dump_ir);
     pipeline.run(*state, end);
+    print_decisions();
     const std::string text = pipeline.snapshot(*state).dump() + "\n";
     if (cli.ir_out.has_value()) {
       std::ofstream out(*cli.ir_out);
@@ -601,6 +601,7 @@ int cmd_synth(const CliOptions& cli) {
   }
 
   pipeline.run(*state);
+  print_decisions();
   const SynthesisResult result = std::move(state->result);
   auto rtl_span = trace_span(obs.trace.get(), "rtl");
   if (cli.json) {
@@ -640,39 +641,31 @@ int cmd_synth(const CliOptions& cli) {
   if (cli.verilog) {
     std::cout << emit_verilog(result.datapath, cli.width);
   }
-  if (cli.ctrl_verilog) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    std::cout << emit_controller_verilog(result.datapath, ctl);
-  }
-  if (cli.vcd) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
+  // The controller and the deterministic example stimulus (input i gets
+  // value i+1) behind --ctrl-verilog, --vcd and --testbench.
+  std::optional<Controller> ctl;
+  IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
+  if (cli.ctrl_verilog || cli.vcd || cli.testbench) {
+    ctl.emplace(Controller::generate(dfg, sched, result.registers,
+                                     result.datapath, result.lifetimes));
     std::uint32_t next = 1;
     for (const auto& v : dfg.vars()) {
       if (v.is_input()) inputs[v.id] = next++;
     }
-    auto sim = simulate_datapath(dfg, result.datapath, ctl, inputs,
+  }
+  if (cli.ctrl_verilog) {
+    std::cout << emit_controller_verilog(result.datapath, *ctl);
+  }
+  if (cli.vcd) {
+    auto sim = simulate_datapath(dfg, result.datapath, *ctl, inputs,
                                  cli.width);
     std::cout << emit_vcd(result.datapath, sim, cli.width);
   }
   if (cli.testbench) {
-    auto lt = compute_lifetimes(dfg, sched, opts.lifetime);
-    auto ctl = Controller::generate(dfg, sched,
-                                    result.registers, result.datapath, lt);
-    // Deterministic example stimulus: input i gets value i+1.
-    IdMap<VarId, std::uint32_t> inputs(dfg.num_vars(), 0);
-    std::uint32_t next = 1;
-    for (const auto& v : dfg.vars()) {
-      if (v.is_input()) inputs[v.id] = next++;
-    }
-    auto sim = simulate_datapath(dfg, result.datapath, ctl, inputs,
+    auto sim = simulate_datapath(dfg, result.datapath, *ctl, inputs,
                                  cli.width);
     LBIST_CHECK(sim.ok(), "internal error: simulation mismatch");
-    std::cout << emit_testbench(dfg, result.datapath, ctl, inputs,
+    std::cout << emit_testbench(dfg, result.datapath, *ctl, inputs,
                                 sim, cli.width);
   }
   rtl_span.finish();
@@ -780,14 +773,6 @@ int cmd_tables(const CliOptions& cli) {
   }
   std::cout << t2;
   return 0;
-}
-
-Benchmark builtin_benchmark(const std::string& name) {
-  if (name == "ex1") return make_ex1();
-  if (name == "ex2") return make_ex2();
-  if (name == "tseng") return make_tseng1();
-  if (name == "paulin") return make_paulin();
-  usage("unknown benchmark: " + name);
 }
 
 /// Reads a job manifest from a path, or from stdin when the path is "-"
@@ -953,18 +938,6 @@ std::vector<std::string> split_list(const std::string& s, char sep) {
   return parts;
 }
 
-const char* binder_label(BinderKind kind) {
-  switch (kind) {
-    case BinderKind::Traditional: return "trad";
-    case BinderKind::BistAware: return "bist";
-    case BinderKind::Ralloc: return "ralloc";
-    case BinderKind::Syntest: return "syntest";
-    case BinderKind::CliquePartition: return "clique";
-    case BinderKind::LoopAware: return "loop";
-  }
-  return "?";
-}
-
 /// `explore --pareto bist`: the hybrid-BIST sweep grading every
 /// (module spec, binder, test configuration) point on BIST area, gate-level
 /// fault coverage and total test length at once (docs/hybrid-bist.md).
@@ -1103,7 +1076,8 @@ int cmd_explore(const CliOptions& cli) {
           std::find(front.begin(), front.end(), i) != front.end();
       arr.push_back(Json::object()
                         .set("label", Json::string(p.label))
-                        .set("binder", Json::string(binder_label(p.binder)))
+                        .set("binder",
+                             Json::string(binder_short_name(p.binder)))
                         .set("latency", Json::number(p.latency))
                         .set("registers", Json::number(p.num_registers))
                         .set("mux", Json::number(p.num_mux))
@@ -1142,9 +1116,10 @@ int cmd_version(const CliOptions& cli) {
 }
 
 int cmd_bench(const CliOptions& cli) {
-  Benchmark bench = builtin_benchmark(cli.target);
-  std::cout << "# module spec: " << bench.module_spec << "\n"
-            << print_dfg(bench.design.dfg, &*bench.design.schedule);
+  const std::optional<Benchmark> bench = find_benchmark(cli.target);
+  if (!bench.has_value()) usage("unknown benchmark: " + cli.target);
+  std::cout << "# module spec: " << bench->module_spec << "\n"
+            << print_dfg(bench->design.dfg, &*bench->design.schedule);
   return 0;
 }
 
