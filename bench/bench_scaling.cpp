@@ -2,16 +2,18 @@
 // grows — random scheduled DFGs from ~10 to ~150 variables, plus FIR
 // filters of increasing tap count scheduled with the list scheduler, plus a
 // large tier of 1k–100k-op random DFGs that exercises the bitset conflict
-// graphs and the incremental-ΔSD binder at scale.
+// graphs and the incremental-ΔSD binder at scale, plus an exact tier of
+// two DSP kernels small enough for the exact BIST allocator.
 //
-// The large tier is the CI perf gate: it emits one row per size into
+// The large and exact tiers are the CI perf gate: they emit one row each into
 // BENCH_scaling.json (bench/bench_json.hpp) which tools/check_bench.py
 // compares against bench/baselines/BENCH_scaling.json.  Each row's
 // wall_ms is the median of kLargeTierRuns syntheses: one sample of the
 // 1k row spread wider than the gate's 25 % on a shared 4-vCPU VM.
 //
 // Flags (ours, stripped before google-benchmark sees argv):
-//   --scaling-only   run only the large tier + JSON artifact (CI gate mode)
+//   --scaling-only   run only the large and exact tiers + JSON artifact
+//                    (CI gate mode)
 //   --xl             extend the large tier to 20k/50k/100k ops
 //
 // Timing benchmarks: the full testable pipeline vs design size.
@@ -115,6 +117,28 @@ RandomDfgOptions large_opts(int ops) {
 
 constexpr int kLargeTierRuns = 5;
 
+/// kLargeTierRuns syntheses of `dfg`: the wall time of each in ms, and the
+/// last result in `res`.
+std::vector<double> time_syntheses(const SynthesisOptions& so, const Dfg& dfg,
+                                   const Schedule& sched,
+                                   const std::vector<ModuleProto>& protos,
+                                   SynthesisResult& res) {
+  std::vector<double> samples;
+  for (int run = 0; run < kLargeTierRuns; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    res = Synthesizer(so).run(dfg, sched, protos);
+    const auto t1 = std::chrono::steady_clock::now();
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  return samples;
+}
+
+double median_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
 void run_large_tier(const std::vector<int>& sizes,
                     benchjson::BenchJson& bj) {
   TextTable t({"ops", "#vars", "#regs", "#mux", "%BIST", "wall ms"});
@@ -127,18 +151,10 @@ void run_large_tier(const std::vector<int>& sizes,
     so.binder = BinderKind::BistAware;
     so.lifetime.hold_outputs_to_end = false;
 
-    std::vector<double> samples;
     SynthesisResult res;
-    for (int run = 0; run < kLargeTierRuns; ++run) {
-      const auto t0 = std::chrono::steady_clock::now();
-      res = Synthesizer(so).run(rd.dfg, rd.schedule, protos);
-      const auto t1 = std::chrono::steady_clock::now();
-      samples.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    std::vector<double> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    const double ms = sorted[sorted.size() / 2];
+    const std::vector<double> samples =
+        time_syntheses(so, rd.dfg, rd.schedule, protos, res);
+    const double ms = median_of(samples);
 
     t.add_row({std::to_string(ops), std::to_string(rd.dfg.num_vars()),
                std::to_string(res.num_registers()),
@@ -157,6 +173,54 @@ void run_large_tier(const std::vector<int>& sizes,
                                 res.num_registers())))
                .set("mux", Json::number(
                                static_cast<std::int64_t>(res.num_mux())))
+               .set("overhead_pct", Json::number(res.overhead_percent))
+               .set("wall_ms", Json::number(ms)));
+  }
+  std::cout << t << std::endl;
+}
+
+// ---------------------------------------------------------------------------
+// Exact tier: every large-tier design is past the exact BIST allocator's
+// register gate, so these rows gate its branch-and-bound.  Two DSP kernels
+// of perfbench's serve_mix sweep, list-scheduled with 3 multipliers, 2
+// adders and 1 subtracter, BIST-aware at width 8: fir12 is the sweep's
+// slowest exact solve, and fir19 overflows the frontier cap and falls back
+// to greedy.
+
+void run_exact_tier(benchjson::BenchJson& bj) {
+  TextTable t({"kernel", "#dp regs", "exact", "%BIST", "wall ms"});
+  t.set_title("Exact tier — BIST-aware synthesis, exact allocator (CI gate)");
+
+  for (int taps : {12, 19}) {
+    const Dfg fir = make_fir(taps);
+    const Schedule sched = list_schedule(
+        fir, {{OpKind::Mul, 3}, {OpKind::Add, 2}, {OpKind::Sub, 1}});
+    const auto protos = minimal_module_spec(fir, sched);
+    SynthesisOptions so;
+    so.binder = BinderKind::BistAware;
+    so.area.bit_width = 8;
+
+    SynthesisResult res;
+    const std::vector<double> samples =
+        time_syntheses(so, fir, sched, protos, res);
+    const double ms = median_of(samples);
+    const std::string name = "exact_fir" + std::to_string(taps) + "_m3";
+    // The registers the allocator's states span, input registers included.
+    const std::size_t dp_regs = res.datapath.registers.size();
+
+    t.add_row({name, std::to_string(dp_regs),
+               res.bist.exact ? "yes" : "no (frontier cap)",
+               fmt_double(res.overhead_percent), fmt_double(ms, 1)});
+    std::cerr << "exact tier: " << name << " -> " << fmt_double(ms, 1)
+              << " ms (" << dp_regs << " data path registers)" << std::endl;
+    bj.add(name,
+           "fir" + std::to_string(taps) +
+               ", list-scheduled 3 mul / 2 add / 1 sub, width 8",
+           samples,
+           Json::object()
+               .set("datapath_regs",
+                    Json::number(static_cast<std::int64_t>(dp_regs)))
+               .set("exact", Json::boolean(res.bist.exact))
                .set("overhead_pct", Json::number(res.overhead_percent))
                .set("wall_ms", Json::number(ms)));
   }
@@ -219,6 +283,7 @@ int main(int argc, char** argv) {
   lbist::benchjson::BenchJson bj("scaling");
   if (!scaling_only) print_scaling();
   run_large_tier(sizes, bj);
+  run_exact_tier(bj);
   bj.write();
   if (scaling_only) return 0;
 

@@ -8,14 +8,18 @@
 // a register that is TPG and SA *for the same module* must be a CBILBO.
 //
 // `solve` runs a per-module branch-and-bound dynamic program over register
-// role-state vectors (3 bits per register: tpg, sa, cbilbo).  A greedy
+// role states: the three RoleFlags bits (tpg, sa, cbilbo) of every
+// register, packed four bits to a register and sixteen registers to a
+// 64-bit word.  Each module level is a flat arena of such states,
+// deduplicated through an open-addressing table; embeddings of one module
+// that set the same flags on the same registers are tried once.  A greedy
 // completion seeds the incumbent; since role flags only accumulate and the
 // area model is (normally) monotone in them, a partial state's own area is
 // an admissible lower bound and strictly-worse states are cut without
 // losing exactness.  If the surviving frontier still exceeds 500,000
-// states — or the design has more than 192 registers, which makes every
-// DP state itself large — the allocator falls back to the greedy solver
-// (the two caps are constants in allocator.cpp).
+// states — or the design has more than 192 registers (12 words a state) —
+// the allocator falls back to the greedy solver (the two caps are
+// constants in allocator.cpp).
 // Objective is lexicographic: minimal extra area, then fewest CBILBOs,
 // then fewest modified registers.
 //
@@ -99,8 +103,9 @@ class BistAllocator {
   bool minimize_sessions = false;
 
   /// If non-null, receives per-register role assignments, greedy-fallback
-  /// notifications and the greedy scan's embedding count
-  /// (obs/events.hpp).  Borrowed, not owned.
+  /// notifications with their reason, the greedy scan's embedding count
+  /// and the exact search's kept and pruned states (obs/events.hpp).
+  /// Borrowed, not owned.
   AlgorithmEvents* events = nullptr;
 
  private:

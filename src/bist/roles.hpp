@@ -35,7 +35,7 @@ struct RoleFlags {
     return BistRole::None;
   }
 
-  /// 3-bit encoding used by the exact allocator's state vectors.
+  /// 3-bit encoding; the BIST allocator packs it four bits per register.
   [[nodiscard]] std::uint8_t encode() const {
     return static_cast<std::uint8_t>((tpg ? 1 : 0) | (sa ? 2 : 0) |
                                      (cbilbo ? 4 : 0));

@@ -53,9 +53,15 @@ HybridConfig hybrid_config_from_json(const Json& j) {
     LBIST_CHECK(seed >= 0, "evolve_seed must be non-negative");
     config.evolve.seed = static_cast<std::uint64_t>(seed);
   }
-  LBIST_CHECK(config.pr_patterns > 0, "pr_patterns must be positive");
+  // The pseudo-random phase and each reseed burst run inline on a server
+  // shard loop too.  65,535 clocks is the LFSR period at width 16, so the
+  // cap changes nothing up to that width and keeps a posted config from
+  // asking a 32-bit design for billions of patterns.
+  LBIST_CHECK(config.pr_patterns >= 1 && config.pr_patterns <= 65535,
+              "pr_patterns must be in 1..65535");
   LBIST_CHECK(config.max_reseeds >= 0, "max_reseeds must be non-negative");
-  LBIST_CHECK(config.reseed_burst > 0, "reseed_burst must be positive");
+  LBIST_CHECK(config.reseed_burst >= 1 && config.reseed_burst <= 65535,
+              "reseed_burst must be in 1..65535");
   // The GA runs population x (generations + 1) gate sessions inline on a
   // server shard loop; keep a posted config from asking for billions.
   LBIST_CHECK(config.evolve.population >= 2 && config.evolve.population <= 64,

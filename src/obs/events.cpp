@@ -146,12 +146,30 @@ void AlgorithmEvents::bist_role(std::size_t reg, std::string_view role) {
   push("bist_role", counter, std::move(detail));
 }
 
-void AlgorithmEvents::bist_greedy_fallback() {
-  push("bist_greedy_fallback", "bist.greedy_fallbacks");
+void AlgorithmEvents::bist_greedy_fallback(BistFallback reason) {
+  const bool frontier = reason == BistFallback::Frontier;
+  Json detail;
+  if (keep_events_) {
+    detail = Json::object().set(
+        "reason", Json::string(frontier ? "frontier" : "register_gate"));
+  }
+  push("bist_greedy_fallback", "bist.greedy_fallbacks", std::move(detail));
+  if (metrics_ != nullptr) {
+    metrics_->counter(frontier ? "bist.fallbacks_frontier"
+                               : "bist.fallbacks_register_gate")
+        .inc();
+  }
 }
 
 void AlgorithmEvents::bist_embeddings_scanned(std::uint64_t n) {
   if (metrics_ != nullptr) metrics_->counter("bist.embeddings_scanned").inc(n);
+}
+
+void AlgorithmEvents::bist_bnb_work(std::uint64_t states,
+                                    std::uint64_t pruned) {
+  if (metrics_ == nullptr) return;
+  metrics_->counter("bist.bnb_states").inc(states);
+  metrics_->counter("bist.bnb_pruned").inc(pruned);
 }
 
 std::vector<AlgorithmEvent> AlgorithmEvents::snapshot() const {

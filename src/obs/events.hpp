@@ -16,7 +16,8 @@
 //   mux_merge       IV       an interconnect endpoint was reused (merged)
 //   port_flip       IV       a commutative module's L/R split was flipped
 //   bist_role       —        final TPG/SA/BILBO/CBILBO role of a register
-//   bist_greedy_fallback  —  exact BIST DP overflowed; greedy solver used
+//   bist_greedy_fallback  —  exact BIST DP gated or overflowed; greedy
+//                            solver used (with the reason)
 //
 // Every record also increments a MetricsRegistry counter (when a registry
 // is attached), e.g. `binding.case1_overrides`, `cbilbo.forced`,
@@ -41,6 +42,12 @@
 #include "support/json.hpp"
 
 namespace lbist {
+
+/// Why `BistAllocator::solve` gave up the exact search for the greedy one.
+enum class BistFallback {
+  RegisterGate,  ///< more registers than the exact DP takes
+  Frontier,      ///< one module level kept too many states
+};
 
 /// One recorded decision: a kind tag plus its typed fields as JSON.
 struct AlgorithmEvent {
@@ -90,10 +97,17 @@ class AlgorithmEvents {
 
   // ---- BIST allocation --------------------------------------------------
   void bist_role(std::size_t reg, std::string_view role);
-  void bist_greedy_fallback();
+  /// Counts `bist.greedy_fallbacks` and, by reason,
+  /// `bist.fallbacks_register_gate` or `bist.fallbacks_frontier`.
+  void bist_greedy_fallback(BistFallback reason);
   /// Work counter of one greedy solve: adds `n` to the
   /// `bist.embeddings_scanned` counter; records no event.
   void bist_embeddings_scanned(std::uint64_t n);
+  /// Work counters of one exact branch-and-bound solve: adds `states`
+  /// (states kept, summed over the module levels) to `bist.bnb_states` and
+  /// `pruned` (children cut by the area bound) to `bist.bnb_pruned`;
+  /// records no event.
+  void bist_bnb_work(std::uint64_t states, std::uint64_t pruned);
 
   /// Copy of the retained events, in record order.
   [[nodiscard]] std::vector<AlgorithmEvent> snapshot() const;

@@ -5,9 +5,12 @@
 // simple — keys are compared by full string everywhere, so the hash only
 // needs to be stable across platforms and runs, never collision-proof.
 // Also here: splitmix64, the deterministic stream the metrics reservoir,
-// the reseed probe phase and the evolved-seed GA draw from.
+// the reseed probe phase and the evolved-seed GA draw from, and
+// hash_words, which mixes runs of 64-bit words with it (the exact BIST
+// allocator's state table).
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 namespace lbist {
@@ -28,6 +31,18 @@ namespace lbist {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+/// Hash of a run of 64-bit words: each word is folded into the running
+/// value through splitmix64's mixer.  Stable across platforms and runs.
+[[nodiscard]] inline std::uint64_t hash_words(
+    std::span<const std::uint64_t> words) {
+  std::uint64_t h = words.size();
+  for (std::uint64_t w : words) {
+    std::uint64_t state = h ^ w;
+    h = splitmix64(state);
+  }
+  return h;
 }
 
 }  // namespace lbist

@@ -7,7 +7,9 @@
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <string>
 #include <tuple>
+#include <unordered_map>
 
 #include "bist/allocator.hpp"
 #include "bist/area_model.hpp"
@@ -18,6 +20,7 @@
 #include "dfg/random_dfg.hpp"
 #include "fuzz/corpus.hpp"
 #include "passes/pipeline.hpp"
+#include "sched/list_sched.hpp"
 
 namespace lbist {
 namespace {
@@ -312,6 +315,22 @@ std::string embedding_text(const std::optional<BistEmbedding>& e) {
   return os.str();
 }
 
+/// Every field of two solutions: roles, each embedding (with its
+/// *_through/*_via), untestable modules, extra_area bit for bit, exact.
+void expect_same_solution(const BistSolution& got, const BistSolution& want,
+                          const std::string& at) {
+  ASSERT_EQ(got.embeddings.size(), want.embeddings.size()) << at;
+  for (std::size_t m = 0; m < got.embeddings.size(); ++m) {
+    EXPECT_EQ(embedding_text(got.embeddings[m]),
+              embedding_text(want.embeddings[m]))
+        << at << ", module " << m;
+  }
+  EXPECT_EQ(got.roles, want.roles) << at;
+  EXPECT_EQ(got.untestable_modules, want.untestable_modules) << at;
+  EXPECT_EQ(got.extra_area, want.extra_area) << at;
+  EXPECT_EQ(got.exact, want.exact) << at;
+}
+
 /// solve_greedy against full_scan_greedy, every field.  The area models
 /// below use dyadic coefficients, so every sum is exact and the area is
 /// compared bit for bit.
@@ -323,18 +342,8 @@ void expect_greedy_matches_reference(const Datapath& dp,
     alloc.use_transparent_paths = transparent;
     const BistSolution got = alloc.solve_greedy(dp);
     const BistSolution want = full_scan_greedy(dp, model, transparent);
-    const std::string at =
-        where + (transparent ? " (transparent)" : " (simple)");
-    ASSERT_EQ(got.embeddings.size(), want.embeddings.size()) << at;
-    for (std::size_t m = 0; m < got.embeddings.size(); ++m) {
-      EXPECT_EQ(embedding_text(got.embeddings[m]),
-                embedding_text(want.embeddings[m]))
-          << at << ", module " << m;
-    }
-    EXPECT_EQ(got.roles, want.roles) << at;
-    EXPECT_EQ(got.untestable_modules, want.untestable_modules) << at;
-    EXPECT_EQ(got.extra_area, want.extra_area) << at;
-    EXPECT_FALSE(got.exact) << at;
+    expect_same_solution(
+        got, want, where + (transparent ? " (transparent)" : " (simple)"));
   }
 }
 
@@ -563,6 +572,331 @@ TEST(Allocator, GreedyMatchesFullScanReferenceAtTheKeepLimits) {
   EXPECT_FALSE(plain.solve_greedy(pin).embeddings[0]->sa.has_value());
   EXPECT_EQ(plain.solve_greedy(shared).untestable_modules,
             std::vector<std::size_t>{0});
+}
+
+// ---- The exact allocator against its reference ---------------------------
+
+namespace reference {
+
+/// The exact allocator as it was first written: a level DP over role
+/// states of one RoleFlags::encode() byte per register, deduplicated in an
+/// unordered_map, with every embedding of every module tried.  It keeps
+/// the allocator's greedy incumbent, area cut, insertion order, frontier
+/// cap (500,000 states in one level) and register gate (192).
+using StateKey = std::string;
+
+StateKey apply_embedding(const StateKey& state, const BistEmbedding& e) {
+  StateKey next = state;
+  auto set_flags = [&](std::size_t reg, bool tpg, bool sa) {
+    RoleFlags f = RoleFlags::decode(static_cast<std::uint8_t>(next[reg]));
+    f.tpg = f.tpg || tpg;
+    f.sa = f.sa || sa;
+    next[reg] = static_cast<char>(f.encode());
+  };
+  set_flags(e.tpg_left, true, false);
+  set_flags(e.tpg_right, true, false);
+  if (e.sa.has_value()) {
+    if (e.needs_cbilbo()) {
+      RoleFlags f = RoleFlags::decode(static_cast<std::uint8_t>(next[*e.sa]));
+      f.tpg = true;
+      f.sa = true;
+      f.cbilbo = true;
+      next[*e.sa] = static_cast<char>(f.encode());
+    } else {
+      set_flags(*e.sa, false, true);
+    }
+  }
+  return next;
+}
+
+double role_extra_of(char c, const AreaModel& model) {
+  return model.role_extra(
+      RoleFlags::decode(static_cast<std::uint8_t>(c)).role());
+}
+
+/// Area change from `prev` to `next = apply_embedding(prev, e)`, over the
+/// distinct registers e touches in the order tpg_left, tpg_right, sa.
+double area_delta(const StateKey& prev, const StateKey& next,
+                  const BistEmbedding& e, const AreaModel& model) {
+  std::vector<std::size_t> touched;
+  for (std::size_t reg : {e.tpg_left, e.tpg_right}) {
+    if (std::find(touched.begin(), touched.end(), reg) == touched.end()) {
+      touched.push_back(reg);
+    }
+  }
+  if (e.sa.has_value() &&
+      std::find(touched.begin(), touched.end(), *e.sa) == touched.end()) {
+    touched.push_back(*e.sa);
+  }
+  double delta = 0.0;
+  for (std::size_t reg : touched) {
+    if (prev[reg] != next[reg]) {
+      delta += role_extra_of(next[reg], model) -
+               role_extra_of(prev[reg], model);
+    }
+  }
+  return delta;
+}
+
+std::tuple<double, int, int> cost_of(const StateKey& state,
+                                     const AreaModel& model) {
+  double area = 0.0;
+  int cbilbos = 0;
+  int modified = 0;
+  for (char c : state) {
+    const BistRole role =
+        RoleFlags::decode(static_cast<std::uint8_t>(c)).role();
+    area += model.role_extra(role);
+    if (role == BistRole::Cbilbo) ++cbilbos;
+    if (role != BistRole::None) ++modified;
+  }
+  return {area, cbilbos, modified};
+}
+
+bool area_flag_monotone(const AreaModel& model) {
+  const double none = model.role_extra(BistRole::None);
+  const double tpg = model.role_extra(BistRole::Tpg);
+  const double sa = model.role_extra(BistRole::Sa);
+  const double bilbo = model.role_extra(BistRole::TpgSa);
+  const double cbilbo = model.role_extra(BistRole::Cbilbo);
+  return none <= tpg && none <= sa && tpg <= bilbo && sa <= bilbo &&
+         bilbo <= cbilbo;
+}
+
+BistSolution solve(const Datapath& dp, const AreaModel& model,
+                   bool transparent, bool minimize_sessions) {
+  BistAllocator greedy(model);
+  greedy.use_transparent_paths = transparent;
+  if (dp.registers.size() > 192) return greedy.solve_greedy(dp);
+
+  std::vector<std::vector<BistEmbedding>> embeddings;
+  std::vector<std::size_t> untestable;
+  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+    embeddings.push_back(transparent ? enumerate_embeddings_extended(dp, m)
+                                     : enumerate_embeddings(dp, m));
+    if (embeddings.back().empty()) untestable.push_back(m);
+  }
+  const bool prune = area_flag_monotone(model);
+  const double incumbent = prune ? greedy.solve_greedy(dp).extra_area : 0.0;
+
+  struct Entry {
+    StateKey state;
+    std::size_t parent = 0;
+    std::optional<BistEmbedding> chosen;
+    double area = 0.0;
+  };
+  std::vector<std::vector<Entry>> levels;
+  levels.push_back(
+      {Entry{StateKey(dp.registers.size(), '\0'), 0, std::nullopt, 0.0}});
+  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+    const auto& prev = levels.back();
+    std::vector<Entry> next;
+    std::unordered_map<StateKey, std::size_t> seen;
+    for (std::size_t p = 0; p < prev.size(); ++p) {
+      if (embeddings[m].empty()) {  // untestable: states pass through
+        if (seen.emplace(prev[p].state, next.size()).second) {
+          next.push_back(Entry{prev[p].state, p, std::nullopt, prev[p].area});
+        }
+        continue;
+      }
+      for (const BistEmbedding& e : embeddings[m]) {
+        StateKey s = apply_embedding(prev[p].state, e);
+        const double area =
+            prev[p].area + area_delta(prev[p].state, s, e, model);
+        if (prune && area > incumbent + 1e-6) continue;
+        if (seen.emplace(s, next.size()).second) {
+          next.push_back(Entry{std::move(s), p, e, area});
+          if (next.size() > 500000) return greedy.solve_greedy(dp);
+        }
+      }
+    }
+    levels.push_back(std::move(next));
+  }
+
+  const auto& final_level = levels.back();
+  auto reconstruct = [&](std::size_t index) {
+    BistSolution sol;
+    for (char c : final_level[index].state) {
+      sol.roles.push_back(
+          RoleFlags::decode(static_cast<std::uint8_t>(c)).role());
+    }
+    sol.extra_area = std::get<0>(cost_of(final_level[index].state, model));
+    sol.untestable_modules = untestable;
+    sol.embeddings.assign(dp.modules.size(), std::nullopt);
+    for (std::size_t level = levels.size() - 1; level >= 1; --level) {
+      sol.embeddings[level - 1] = levels[level][index].chosen;
+      index = levels[level][index].parent;
+    }
+    return sol;
+  };
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < final_level.size(); ++i) {
+    if (cost_of(final_level[i].state, model) <
+        cost_of(final_level[best].state, model)) {
+      best = i;
+    }
+  }
+  BistSolution best_sol = reconstruct(best);
+  if (!minimize_sessions) return best_sol;
+  int best_sessions = schedule_test_sessions(dp, best_sol).num_sessions;
+  const auto best_cost = cost_of(final_level[best].state, model);
+  for (std::size_t i = 0; i < final_level.size(); ++i) {
+    if (i == best || cost_of(final_level[i].state, model) != best_cost) {
+      continue;
+    }
+    BistSolution candidate = reconstruct(i);
+    const int sessions = schedule_test_sessions(dp, candidate).num_sessions;
+    if (sessions < best_sessions) {
+      best_sessions = sessions;
+      best_sol = std::move(candidate);
+    }
+  }
+  return best_sol;
+}
+
+}  // namespace reference
+
+/// solve against reference::solve, every field, with simple paths and
+/// minimize_sessions off, and also with transparent paths and with
+/// minimize_sessions on unless told otherwise.
+void expect_exact_matches_reference(const Datapath& dp,
+                                    const AreaModel& model,
+                                    const std::string& where,
+                                    bool transparent_too = true,
+                                    bool sessions_too = true) {
+  for (bool transparent : {false, true}) {
+    for (bool minimize : {false, true}) {
+      if ((transparent && !transparent_too) || (minimize && !sessions_too)) {
+        continue;
+      }
+      BistAllocator alloc(model);
+      alloc.use_transparent_paths = transparent;
+      alloc.minimize_sessions = minimize;
+      expect_same_solution(
+          alloc.solve(dp),
+          reference::solve(dp, model, transparent, minimize),
+          where + (transparent ? " (transparent" : " (simple") +
+              (minimize ? ", fewest sessions)" : ")"));
+    }
+  }
+}
+
+/// The data path of a DSP kernel, list-scheduled with `muls` multipliers,
+/// 2 adders and 1 subtracter, at width 8.
+Datapath kernel_datapath(const Dfg& dfg, int muls, BinderKind binder) {
+  const Schedule sched = list_schedule(
+      dfg, {{OpKind::Mul, muls}, {OpKind::Add, 2}, {OpKind::Sub, 1}});
+  SynthesisOptions so;
+  so.binder = binder;
+  so.area.bit_width = 8;
+  return datapath_of(dfg, sched, so);
+}
+
+TEST(Allocator, ExactMatchesReference) {
+  // Paper designs under every binder.
+  for (const Benchmark& bench : paper_benchmarks()) {
+    const auto protos = parse_module_spec(bench.module_spec);
+    for (BinderKind kind :
+         {BinderKind::Traditional, BinderKind::BistAware, BinderKind::Ralloc,
+          BinderKind::Syntest, BinderKind::CliquePartition,
+          BinderKind::LoopAware}) {
+      SynthesisOptions so;
+      so.binder = kind;
+      const SynthesisResult r = Synthesizer(so).run(
+          bench.design.dfg, *bench.design.schedule, protos);
+      expect_exact_matches_reference(
+          r.datapath, so.area,
+          bench.name + " / " + binder_kind_name(kind));
+    }
+  }
+
+  // DSP kernels whose exact solves keep thousands of states per level.
+  const AreaModel wide = [] {
+    AreaModel m;
+    m.bit_width = 8;
+    return m;
+  }();
+  for (BinderKind kind : {BinderKind::BistAware, BinderKind::Traditional}) {
+    const std::string arm = std::string(" / ") + binder_kind_name(kind);
+    BistAllocator alloc(wide);
+    for (const auto& [name, dp] :
+         {std::pair{"fir9-m3", kernel_datapath(make_fir(9), 3, kind)},
+          std::pair{"biquad2-m3",
+                    kernel_datapath(make_biquad_cascade(2), 3, kind)},
+          std::pair{"fir15-m2", kernel_datapath(make_fir(15), 2, kind)}}) {
+      const BistSolution got = alloc.solve(dp);
+      EXPECT_TRUE(got.exact) << name << arm;
+      expect_same_solution(got, reference::solve(dp, wide, false, false),
+                           name + arm);
+    }
+  }
+  // One that overflows the frontier cap and falls back to greedy.
+  const Datapath fir19 =
+      kernel_datapath(make_fir(19), 3, BinderKind::BistAware);
+  const BistSolution capped = BistAllocator(wide).solve(fir19);
+  EXPECT_FALSE(capped.exact);
+  expect_same_solution(capped, reference::solve(fir19, wide, false, false),
+                       "fir19-m3");
+
+  // Small random DFGs under the three reference models (the non-monotone
+  // one runs unpruned) and a monotone one whose sums round, so the cut and
+  // the dedupe of equal masks must reproduce the reference's areas bit
+  // for bit.  Transparent paths multiply the embeddings, and with ties or
+  // no cut the reference then takes seconds a design: they run under the
+  // default model only.
+  auto models = reference_models();
+  AreaModel decimal;
+  decimal.tpg_extra_per_bit = 0.1;
+  decimal.sa_extra_per_bit = 0.7;
+  decimal.bilbo_extra_per_bit = 0.9;
+  decimal.cbilbo_extra_per_bit = 1.3;
+  models.emplace_back("decimal", decimal);
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    RandomDfgOptions o;
+    o.seed = seed;
+    o.num_steps = 3 + static_cast<int>(seed % 4);
+    o.ops_per_step = 2 + static_cast<int>(seed % 2);
+    o.num_inputs = 3 + static_cast<int>(seed % 3);
+    o.chain_probability = 0.3 * static_cast<double>(seed % 3);
+    const RandomDfg rd = make_random_dfg(o);
+    SynthesisOptions so;
+    so.binder =
+        seed % 2 == 0 ? BinderKind::BistAware : BinderKind::Traditional;
+    const Datapath dp = datapath_of(rd.dfg, rd.schedule, so);
+    for (const auto& [name, model] : models) {
+      expect_exact_matches_reference(
+          dp, model, "seed " + std::to_string(seed) + ", " + name,
+          /*transparent_too=*/name == "default",
+          /*sessions_too=*/seed % 4 == 0);
+    }
+  }
+
+  // Register counts around the word boundaries of the packed state (16
+  // registers to a word): random modules whose ports and destinations
+  // include the last registers of a word and the first of the next.
+  std::mt19937 rng(20261018);
+  for (const std::size_t nregs : {15u, 16u, 17u, 31u, 32u, 33u}) {
+    std::uniform_int_distribution<std::size_t> any_reg(0, nregs - 1);
+    const std::size_t edge[] = {14, nregs - 1,
+                                std::min<std::size_t>(16, nregs - 1)};
+    for (int trial = 0; trial < 3; ++trial) {
+      Datapath dp = bare_datapath(nregs);
+      for (int m = 0; m < 4; ++m) {
+        std::set<std::size_t> left = {any_reg(rng), edge[m % 3]};
+        std::set<std::size_t> right = {any_reg(rng), edge[(m + 1) % 3]};
+        std::set<std::size_t> dests = {any_reg(rng), edge[(m + 2) % 3]};
+        dp.modules.push_back(module_of(m % 2 == 0 ? OpKind::Add : OpKind::Mul,
+                                       left, right, dests));
+      }
+      for (const auto& [name, model] : models) {
+        expect_exact_matches_reference(
+            dp, model,
+            std::to_string(nregs) + " registers, trial " +
+                std::to_string(trial) + ", " + name,
+            /*transparent_too=*/name == "default");
+      }
+    }
+  }
 }
 
 TEST(Sessions, SharedSaForcesTwoSessions) {

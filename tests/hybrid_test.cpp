@@ -289,6 +289,20 @@ TEST(HybridEval, ConfigRoundTripsThroughJson) {
   EXPECT_TRUE(rejects("evolve_population", 1));
   EXPECT_TRUE(rejects("evolve_generations", 65));
   EXPECT_TRUE(rejects("evolve_generations", -1));
+  // So are the pseudo-random phase and the reseed burst: at most the LFSR
+  // period at width 16.
+  EXPECT_TRUE(rejects("pr_patterns", 2147483647));
+  EXPECT_TRUE(rejects("pr_patterns", 65536));
+  EXPECT_TRUE(rejects("pr_patterns", -1));
+  EXPECT_TRUE(rejects("reseed_burst", 65536));
+  EXPECT_TRUE(rejects("reseed_burst", 0));
+  HybridConfig longest;
+  longest.pr_patterns = 65535;
+  longest.reseed_burst = 65535;
+  EXPECT_EQ(hybrid_config_to_json(
+                hybrid_config_from_json(hybrid_config_to_json(longest)))
+                .dump(),
+            hybrid_config_to_json(longest).dump());
   for (const auto& [population, generations] :
        {std::pair{64, 0}, std::pair{2, 64}}) {
     HybridConfig edge;

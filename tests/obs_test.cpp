@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "binding/cbilbo_check.hpp"
+#include "bist/allocator.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/random_dfg.hpp"
@@ -23,6 +24,7 @@
 #include "obs/profiler.hpp"
 #include "obs/prom.hpp"
 #include "obs/trace.hpp"
+#include "sched/list_sched.hpp"
 #include "service/metrics.hpp"
 #include "support/json.hpp"
 
@@ -231,9 +233,11 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   sink.port_flip("M1");
   sink.bist_role(0, "TPG");
   sink.bist_role(1, "CBILBO");
-  sink.bist_greedy_fallback();
+  sink.bist_greedy_fallback(BistFallback::Frontier);
   sink.bist_embeddings_scanned(7);
   sink.bist_embeddings_scanned(5);
+  sink.bist_bnb_work(40, 9);
+  sink.bist_bnb_work(2, 1);
 
   EXPECT_TRUE(sink.snapshot().empty());  // counters-only mode
   EXPECT_EQ(sink.count("case_override"), 2u);
@@ -251,7 +255,11 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   EXPECT_EQ(counters.at("bist.roles_tpg").as_number(), 1.0);
   EXPECT_EQ(counters.at("bist.roles_cbilbo").as_number(), 1.0);
   EXPECT_EQ(counters.at("bist.greedy_fallbacks").as_number(), 1.0);
+  EXPECT_EQ(counters.at("bist.fallbacks_frontier").as_number(), 1.0);
+  EXPECT_FALSE(counters.contains("bist.fallbacks_register_gate"));
   EXPECT_EQ(counters.at("bist.embeddings_scanned").as_number(), 12.0);
+  EXPECT_EQ(counters.at("bist.bnb_states").as_number(), 42.0);
+  EXPECT_EQ(counters.at("bist.bnb_pruned").as_number(), 10.0);
 }
 
 TEST(AlgorithmEvents, KeepEventsRetainsTypedDetail) {
@@ -431,6 +439,72 @@ TEST(ObsIntegration, Ex1SynthesisEmitsPaperDecisions) {
   // The exact allocator's greedy incumbent published its scan.
   EXPECT_GT(dump.at("counters").at("bist.embeddings_scanned").as_number(),
             0.0);
+  // ex1's allocation is exact: the branch-and-bound published the states
+  // it kept and the children its bound cut, and nothing fell back.
+  const Json& counters = dump.at("counters");
+  EXPECT_TRUE(result.bist.exact);
+  EXPECT_EQ(counters.at("bist.bnb_states").as_number(), 2.0);
+  EXPECT_EQ(counters.at("bist.bnb_pruned").as_number(), 6.0);
+  EXPECT_FALSE(counters.contains("bist.greedy_fallbacks"));
+  EXPECT_FALSE(counters.contains("bist.fallbacks_frontier"));
+  EXPECT_FALSE(counters.contains("bist.fallbacks_register_gate"));
+}
+
+// A fallback to greedy allocation says why: a kernel with a module level
+// past the frontier cap, and a data path past the register gate.
+TEST(ObsIntegration, BistFallbacksNameTheirReason) {
+  const Dfg fir = make_fir(19);
+  const Schedule sched = list_schedule(
+      fir, {{OpKind::Mul, 3}, {OpKind::Add, 2}, {OpKind::Sub, 1}});
+  MetricsRegistry metrics;
+  AlgorithmEvents events(&metrics, /*keep_events=*/true);
+  SynthesisOptions opts;
+  opts.binder = BinderKind::BistAware;
+  opts.area.bit_width = 8;
+  opts.events = &events;
+  const SynthesisResult result =
+      Synthesizer(opts).run(fir, sched, minimal_module_spec(fir, sched));
+  EXPECT_FALSE(result.bist.exact);
+  Json counters = metrics.to_json().at("counters");
+  EXPECT_EQ(counters.at("bist.greedy_fallbacks").as_number(), 1.0);
+  EXPECT_EQ(counters.at("bist.fallbacks_frontier").as_number(), 1.0);
+  EXPECT_FALSE(counters.contains("bist.fallbacks_register_gate"));
+  // The search kept more than the cap's 500,000 states before it bailed
+  // (the levels the string-keyed DP built too); no child of those levels
+  // was dearer than the greedy incumbent.
+  EXPECT_EQ(counters.at("bist.bnb_states").as_number(), 510717.0);
+  EXPECT_EQ(counters.at("bist.bnb_pruned").as_number(), 0.0);
+  std::vector<std::string> reasons;
+  for (const AlgorithmEvent& e : events.snapshot()) {
+    if (e.kind == "bist_greedy_fallback") {
+      reasons.push_back(e.detail.at("reason").as_string());
+    }
+  }
+  EXPECT_EQ(reasons, std::vector<std::string>{"frontier"});
+
+  Datapath wide;
+  for (int r = 0; r < 193; ++r) {
+    wide.registers.push_back(DpRegister{});
+    wide.registers.back().name = "R" + std::to_string(r + 1);
+  }
+  DpModule add;
+  add.name = "M1";
+  add.proto = ModuleProto{{OpKind::Add}};
+  add.left_sources = {0};
+  add.right_sources = {1};
+  add.dest_registers = {192};
+  wide.modules.push_back(add);
+  MetricsRegistry gate_metrics;
+  AlgorithmEvents gate_events(&gate_metrics, /*keep_events=*/false);
+  BistAllocator alloc{AreaModel{}};
+  alloc.events = &gate_events;
+  EXPECT_FALSE(alloc.solve(wide).exact);
+  counters = gate_metrics.to_json().at("counters");
+  EXPECT_EQ(counters.at("bist.greedy_fallbacks").as_number(), 1.0);
+  EXPECT_EQ(counters.at("bist.fallbacks_register_gate").as_number(), 1.0);
+  EXPECT_FALSE(counters.contains("bist.fallbacks_frontier"));
+  // No search ran.
+  EXPECT_FALSE(counters.contains("bist.bnb_states"));
 }
 
 // --- sampling profiler -----------------------------------------------------

@@ -549,6 +549,49 @@ TEST(ServerEndToEnd, OverwideHybridWidthIsRejectedAndShardStaysUp) {
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
 
+// A hybrid request may not ask for more pseudo-random patterns than the
+// LFSR period at width 16: at width 32, 2^31 - 1 of them would have the
+// shard loop build a stimulus of two billion patterns.
+TEST(ServerEndToEnd, OverlongHybridPhaseIsRejectedAndShardStaysUp) {
+  const Benchmark bench = make_ex1();
+  SynthesisOptions so;
+  so.area.bit_width = 32;
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), so);
+  const PassPipeline& pipeline = PassPipeline::standard();
+  pipeline.run(state, pipeline.index_of("binding") + 1);
+  const std::string request =
+      Json::object()
+          .set("type", Json::string("hybrid"))
+          .set("snapshot", pipeline.snapshot(state))
+          .set("config", Json::object().set("pr_patterns",
+                                            Json::number(2147483647)))
+          .dump_compact() +
+      "\n{\"type\": \"health\"}\n";
+
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  ASSERT_EQ(summary.responses, 2);
+  std::istringstream lines(out.str());
+  std::string first, second;
+  ASSERT_TRUE(std::getline(lines, first));
+  ASSERT_TRUE(std::getline(lines, second));
+  const Json rejected = Json::parse(first);
+  EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
+  EXPECT_EQ(rejected.at("status").as_string(), "error");
+  EXPECT_NE(rejected.at("error").as_string().find("pr_patterns"),
+            std::string::npos)
+      << rejected.at("error").as_string();
+  const Json health = Json::parse(second);
+  EXPECT_EQ(health.at("type").as_string(), "health");
+  EXPECT_EQ(health.at("status").as_string(), "ok");
+}
+
 // The health reply carries the build record so clients can detect
 // server/client version skew before posting snapshots.
 TEST(ServerEndToEnd, HealthReplyCarriesBuildInfo) {
