@@ -9,7 +9,9 @@
 // BENCH_scaling.json (bench/bench_json.hpp) which tools/check_bench.py
 // compares against bench/baselines/BENCH_scaling.json.  Each row's
 // wall_ms is the median of kLargeTierRuns syntheses: one sample of the
-// 1k row spread wider than the gate's 25 % on a shared 4-vCPU VM.
+// 1k row spread wider than the gate's 25 % on a shared 4-vCPU VM.  Each
+// large-tier row also carries "work": the binder's register fit tests and
+// the greedy BIST allocator's embeddings, which the gate compares exactly.
 //
 // Flags (ours, stripped before google-benchmark sees argv):
 //   --scaling-only   run only the large and exact tiers + JSON artifact
@@ -31,7 +33,9 @@
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/random_dfg.hpp"
+#include "obs/events.hpp"
 #include "sched/list_sched.hpp"
+#include "service/metrics.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -156,6 +160,20 @@ void run_large_tier(const std::vector<int>& sizes,
         time_syntheses(so, rd.dfg, rd.schedule, protos, res);
     const double ms = median_of(samples);
 
+    // Work counts repeat exactly on any machine, so check_bench.py gates
+    // them exactly: one more synthesis, untimed, with a counters-only sink.
+    MetricsRegistry metrics;
+    AlgorithmEvents counters(&metrics, /*keep_events=*/false);
+    SynthesisOptions counted = so;
+    counted.events = &counters;
+    (void)Synthesizer(counted).run(rd.dfg, rd.schedule, protos);
+    Json work = Json::object();
+    for (const char* counter :
+         {"binding.registers_scanned", "bist.embeddings_scanned"}) {
+      work.set(counter, Json::number(static_cast<std::int64_t>(
+                            metrics.counter(counter).value())));
+    }
+
     t.add_row({std::to_string(ops), std::to_string(rd.dfg.num_vars()),
                std::to_string(res.num_registers()),
                std::to_string(res.num_mux()),
@@ -174,7 +192,8 @@ void run_large_tier(const std::vector<int>& sizes,
                .set("mux", Json::number(
                                static_cast<std::int64_t>(res.num_mux())))
                .set("overhead_pct", Json::number(res.overhead_percent))
-               .set("wall_ms", Json::number(ms)));
+               .set("wall_ms", Json::number(ms))
+               .set("work", std::move(work)));
   }
   std::cout << t << std::endl;
 }

@@ -11,7 +11,6 @@
 #include "binding/sharing.hpp"
 #include "graph/interval.hpp"
 #include "obs/events.hpp"
-#include "support/arena.hpp"
 #include "support/check.hpp"
 
 namespace lbist {
@@ -102,42 +101,64 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   std::vector<RegState> regs;
   std::optional<CbilboTracker> tracker;
   if (opts.avoid_cbilbo) tracker.emplace(dfg, mb);
+  // Open registers bucketed by SD(R) (at most 2m), for the SD-ordered
+  // scan; slot[r] is r's position in its bucket.
+  std::vector<std::vector<std::size_t>> by_sd(2 * m + 1);
+  std::vector<std::size_t> slot;
+  // Live counts of the variables placed so far.
+  IntervalLoad load(live);
 
   // r == regs.size() opens a register.
   auto assign = [&](std::size_t v, std::size_t r) {
     if (r == regs.size()) {
       regs.push_back(
           RegState{sa.empty_mask(), DynBitset(m + 1), DynBitset(m + 1), 0});
+      slot.push_back(by_sd[0].size());
+      by_sd[0].push_back(r);
       if (tracker.has_value()) tracker->add_register();
     }
     file.assign(r, cg.vars[v], live[v]);
+    load.add(v);
     RegState& reg = regs[r];
+    const int old_sd = reg.sd;
     reg.sd +=
         static_cast<int>(sa.mask(cg.vars[v]).count_and_not(reg.share_mask));
     reg.share_mask |= sa.mask(cg.vars[v]);
     reg.src_modules |= fp[v].src;
     reg.dst_modules |= fp[v].dst;
     if (tracker.has_value()) tracker->assign(cg.vars[v], r);
+    if (reg.sd != old_sd) {  // move r up to its new bucket
+      auto& from = by_sd[static_cast<std::size_t>(old_sd)];
+      from[slot[r]] = from.back();
+      slot[from.back()] = slot[r];
+      from.pop_back();
+      auto& to = by_sd[static_cast<std::size_t>(reg.sd)];
+      slot[r] = to.size();
+      to.push_back(r);
+    }
   };
 
-  // Per-step scratch, arena-backed and register-indexed: ΔSD, tie-break
-  // interconnect cost, feasibility.  A register count never exceeds n.
-  Arena arena;
-  std::span<int> dsd = arena.alloc_zeroed<int>(n);
-  std::span<int> icost = arena.alloc_zeroed<int>(n);
+  // Register-indexed scratch: ΔSD and tie-break interconnect cost of each
+  // register that fits the current variable.  A register count never
+  // exceeds n.
+  std::vector<int> dsd(n);
+  std::vector<int> icost(n);
   std::vector<std::size_t> feasible;
   feasible.reserve(n);
+  std::uint64_t scanned = 0;  // fit tests, published once per run
+  // A recording sink lists every register that fits, in index order; first
+  // fit scans in index order up to the first that fits.  The ΔSD rule
+  // otherwise scans by SD.
+  const bool recording = events != nullptr && events->recording();
+  const bool index_order = !opts.delta_sd_rule || recording;
 
   for (std::size_t v : peo | std::views::reverse) {
     const VarId var = cg.vars[v];
     const DynBitset& vmask = sa.mask(var);
 
-    // Non-conflicting registers.
-    feasible.clear();
-    for (std::size_t r = 0; r < file.size(); ++r) {
-      if (file.fits(r, live[v])) feasible.push_back(r);
-    }
-    if (feasible.empty()) {
+    // Each register holds at most one variable live at a step, so when the
+    // most crowded step of v's interval holds one per register, none fits.
+    if (load.max_live(v) == file.size()) {
       assign(v, regs.size());
       if (events != nullptr) {
         events->assign(dfg.var(var).name, regs.size() - 1, sd_vtx[v],
@@ -146,13 +167,44 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
       continue;
     }
 
-    // ΔSD and tie-break cost for each feasible register.  ΔSD is the
-    // word-parallel |mask(v) \ share_mask(R)| — no merged mask is built,
-    // and SD(R) itself is cached on the register.
-    for (std::size_t r : feasible) {
+    // Fit test, then ΔSD and tie-break cost for a register that fits.  ΔSD
+    // is the word-parallel |mask(v) \ share_mask(R)| — no merged mask is
+    // built, and SD(R) itself is cached on the register.  True iff r fits.
+    feasible.clear();
+    auto visit = [&](std::size_t r) {
+      ++scanned;
+      if (!file.fits(r, live[v])) return false;
+      feasible.push_back(r);
       dsd[r] = static_cast<int>(vmask.count_and_not(regs[r].share_mask));
       icost[r] = interconnect_cost(regs[r], fp[v]);
+      return true;
+    };
+    // Not scanned yet: registers from `next` on in index order, buckets
+    // below `unscanned` in SD order.
+    std::size_t next = 0;
+    std::size_t unscanned = 0;
+    if (index_order) {
+      while (next < file.size() && (recording || feasible.empty())) {
+        visit(next++);
+      }
+    } else {
+      next = file.size();
+      // Highest SD first, stopping after the bucket in which some register
+      // reaches ΔSD = SD(v), the most any can gain: every register left
+      // has a lower SD(R), so none can beat it, and a Case 1/2 candidate
+      // needs SD(R) > SD(r_i) + ΔSD(r_i), so all of them are scanned.
+      bool full_gain = false;
+      for (unscanned = by_sd.size(); unscanned > 0 && !full_gain;) {
+        for (std::size_t r : by_sd[--unscanned]) {
+          if (visit(r) && dsd[r] == sd_vtx[v]) full_gain = true;
+        }
+      }
     }
+    // The colored neighbours of v form a clique (reverse PVES order), so by
+    // Helly they all live at the most crowded step, and a register free
+    // there fits.
+    LBIST_CHECK(!feasible.empty(), "no register fits below the live peak");
+
     // Preference: larger ΔSD, then larger SD(R), then cheaper interconnect,
     // then lower index.
     auto better = [&](std::size_t a, std::size_t b) {
@@ -240,6 +292,11 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
         events->cbilbo_checked(dfg.var(var).name, chosen, would_force);
       }
       if (would_force) {
+        // The fallback ranks every register that fits: finish the scan.
+        while (next < file.size()) visit(next++);
+        while (unscanned > 0) {
+          for (std::size_t r : by_sd[--unscanned]) visit(r);
+        }
         std::vector<std::size_t> ordered = feasible;
         std::sort(ordered.begin(), ordered.end(),
                   [&](std::size_t a, std::size_t b) { return better(a, b); });
@@ -264,7 +321,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
       // A counters-only sink discards the candidate set; skip the
       // O(regs) copy.
       std::vector<SdCandidate> cands;
-      if (events->recording()) {
+      if (recording) {
         cands.reserve(feasible.size());
         for (std::size_t r : feasible) {
           cands.push_back(SdCandidate{r, dsd[r]});
@@ -275,6 +332,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     }
   }
 
+  if (events != nullptr) events->binding_registers_scanned(scanned);
   // Report the CBILBOs the final binding could not avoid (Lemma 2 on the
   // finished register contents) so cbilbo.forced mirrors what the BIST
   // allocator will be confronted with.

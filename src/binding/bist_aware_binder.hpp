@@ -26,6 +26,18 @@
 // The binder relies on a PVES, so like the optimal algorithm it uses the
 // minimum number of registers on every benchmark in the paper (and we test
 // that property on random designs); optimality is not guaranteed in general.
+//
+// The scan is exact but short.  Whether any register fits v is one query:
+// v's coloured neighbours all live at the most crowded step of v's
+// interval, so v opens a register iff that step holds one variable per
+// register.  Otherwise the ΔSD rule scans registers from the highest SD(R)
+// down and stops after the SD bucket in which some register gains
+// ΔSD = SD(v), the most any can gain: no lower bucket can beat it, and
+// every Case 1/2 candidate lies above it.  CBILBO avoidance finishes the
+// scan when it fires; first fit and a recording sink (whose `assign`
+// events list every fitting register) scan in index order.  Bindings
+// equal those of the full scan, `full_scan_bist_binding` in
+// fuzz/reference.hpp, under every option set.
 
 #include "binding/module_binding.hpp"
 #include "binding/register_binding.hpp"
@@ -46,9 +58,10 @@ struct BistBinderOptions {
 
 /// Binds registers maximizing test-resource sharing and avoiding forced
 /// CBILBOs.  Emits typed decision events (PVES order, ΔSD candidate sets,
-/// Case 1/2 overrides, Lemma-2 checks) to `*events` if non-null;
-/// `binder_decision_lines` (obs/events.hpp) renders them as a log.  With
-/// every switch off this is first-fit coloring in reverse PVES order.
+/// Case 1/2 overrides, Lemma-2 checks) and the `binding.registers_scanned`
+/// work count to `*events` if non-null; `binder_decision_lines`
+/// (obs/events.hpp) renders the events as a log.  With every switch off
+/// this is first-fit coloring in reverse PVES order.
 /// Throws lbist::Error if the conflict graph carries no live intervals.
 [[nodiscard]] RegisterBinding bind_registers_bist_aware(
     const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,

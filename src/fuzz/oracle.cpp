@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <tuple>
+#include <utility>
 
 #include "binding/cbilbo_check.hpp"
 #include "bist/allocator.hpp"
 #include "core/report.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/lifetime.hpp"
+#include "fuzz/reference.hpp"
+#include "graph/conflict.hpp"
 #include "obs/events.hpp"
 #include "passes/incremental.hpp"
 #include "passes/pipeline.hpp"
@@ -90,72 +92,6 @@ bool corrupt_binding(RegisterBinding& rb,
   return false;
 }
 
-/// The greedy BIST allocation over the full embedding product, built from
-/// rtl/ipath's enumerators, RoleFlags and AreaModel::role_extra only: each
-/// module in turn takes the first embedding, in enumeration order, of
-/// least (Δarea, ΔCBILBO, Δmodified).  solve_greedy must reproduce it.
-BistSolution full_scan_greedy(const Datapath& dp, const AreaModel& model,
-                              bool transparent) {
-  std::vector<RoleFlags> flags(dp.registers.size());
-  auto with_duties = [](RoleFlags f, const BistEmbedding& e,
-                        std::size_t reg) {
-    if (reg == e.tpg_left || reg == e.tpg_right) f.tpg = true;
-    if (e.sa == reg) {
-      f.sa = true;
-      f.cbilbo = f.cbilbo || e.needs_cbilbo();
-    }
-    return f;
-  };
-  BistSolution sol;
-  sol.exact = false;
-  sol.embeddings.assign(dp.modules.size(), std::nullopt);
-  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    std::optional<BistEmbedding> best;
-    std::tuple<double, int, int> best_cost;
-    auto visit = [&](const BistEmbedding& e) {
-      const std::size_t regs[] = {e.tpg_left, e.tpg_right, e.sa.value_or(0)};
-      const std::size_t touched =
-          e.sa.has_value() && !e.needs_cbilbo() ? 3 : 2;
-      std::tuple<double, int, int> cost{0.0, 0, 0};
-      for (std::size_t i = 0; i < touched; ++i) {
-        const BistRole before = flags[regs[i]].role();
-        const BistRole after = with_duties(flags[regs[i]], e, regs[i]).role();
-        std::get<0>(cost) += model.role_extra(after) - model.role_extra(before);
-        std::get<1>(cost) += static_cast<int>(after == BistRole::Cbilbo) -
-                             static_cast<int>(before == BistRole::Cbilbo);
-        std::get<2>(cost) += static_cast<int>(after != BistRole::None) -
-                             static_cast<int>(before != BistRole::None);
-      }
-      if (!best.has_value() || cost < best_cost) {
-        best = e;
-        best_cost = cost;
-      }
-      return true;
-    };
-    if (transparent) {
-      for_each_embedding_extended(dp, m, visit);
-    } else {
-      for_each_embedding(dp, m, visit);
-    }
-    if (!best.has_value()) {
-      sol.untestable_modules.push_back(m);
-      continue;
-    }
-    for (std::size_t r : {best->tpg_left, best->tpg_right}) {
-      flags[r] = with_duties(flags[r], *best, r);
-    }
-    if (best->sa.has_value()) {
-      flags[*best->sa] = with_duties(flags[*best->sa], *best, *best->sa);
-    }
-    sol.embeddings[m] = best;
-  }
-  for (const RoleFlags& f : flags) {
-    sol.roles.push_back(f.role());
-    sol.extra_area += model.role_extra(f.role());
-  }
-  return sol;
-}
-
 std::string embedding_text(const std::optional<BistEmbedding>& e) {
   if (!e.has_value()) return "untested";
   auto opt = [](const std::optional<std::size_t>& v) {
@@ -205,6 +141,7 @@ class OracleRun {
       check_simulation(arm, kind, so, result);
       check_area(arm, so, result);
       check_greedy_reference(arm, so, result);
+      if (kind == BinderKind::BistAware) check_binder_reference(so, result);
       if (kind == BinderKind::BistAware) check_report(result);
       if (kind == BinderKind::BistAware) check_events(events, result);
       const bool deep =
@@ -348,6 +285,34 @@ class OracleRun {
                      "differ from the full scan");
         return;
       }
+    }
+  }
+
+  /// The BIST-aware binder against the full scan it replaced, at every
+  /// size: the arm's own binding (its recording sink makes the binder scan
+  /// in index order) and a sink-less run (the SD-ordered scan) must both
+  /// equal the reference register for register, members in order.
+  void check_binder_reference(const SynthesisOptions& so,
+                              const SynthesisResult& result) {
+    const VarConflictGraph cg = build_conflict_graph(dfg_, result.lifetimes);
+    const RegisterBinding want =
+        full_scan_bist_binding(dfg_, cg, result.modules, so.bist_binder);
+    const RegisterBinding fast =
+        bind_registers_bist_aware(dfg_, cg, result.modules, so.bist_binder);
+    for (const auto& [scan, got] :
+         {std::pair{"index-order", &result.registers},
+          std::pair{"SD-ordered", &fast}}) {
+      if (got->regs == want.regs) continue;
+      std::size_t r = 0;
+      while (r < got->regs.size() && r < want.regs.size() &&
+             got->regs[r] == want.regs[r]) {
+        ++r;
+      }
+      fail("binder-reference:bist",
+           std::string(scan) + " scan: R" + std::to_string(r + 1) +
+               " differs from the full scan's (" +
+               std::to_string(got->num_regs()) + " vs " +
+               std::to_string(want.num_regs()) + " registers)");
     }
   }
 

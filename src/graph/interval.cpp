@@ -220,44 +220,46 @@ std::vector<std::size_t> interval_elimination_order(
 std::vector<std::size_t> interval_max_clique_through_vertex(
     std::span<const LiveInterval> intervals) {
   const std::size_t n = intervals.size();
-  const EndpointRanks ep(intervals);
-  const std::size_t nb = ep.births.size();
-
-  // Live counts rise only at the step just after a birth, so those steps
-  // cover every clique:
-  //   live[i] = #{u : b_u <= births[i]} - #{u : d_u <= births[i]}.
-  std::vector<std::size_t> born(nb, 0);
-  std::vector<std::size_t> died(ep.deaths.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    ++born[ep.birth_rank[v]];
-    ++died[ep.death_rank[v]];
-  }
-  // Bottom-up segment tree over live[]: leaves at [nb, 2 nb).
-  std::vector<std::size_t> tree(2 * nb, 0);
-  std::size_t started = 0;
-  std::size_t ended = 0;
-  for (std::size_t i = 0, d = 0; i < nb; ++i) {
-    started += born[i];
-    for (; d < ep.deaths_upto[i]; ++d) ended += died[d];
-    tree[nb + i] = started - ended;
-  }
-  for (std::size_t i = nb; i-- > 1;) {
-    tree[i] = std::max(tree[2 * i], tree[2 * i + 1]);
-  }
-
-  // MCS(v) is the largest live[i] over the births in [b_v, d_v).
-  std::vector<std::size_t> mcs(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::size_t lo = nb + ep.birth_rank[v];
-    std::size_t hi = nb + ep.births_before[v];
-    std::size_t best = 0;
-    for (; lo < hi; lo /= 2, hi /= 2) {
-      if (lo % 2 == 1) best = std::max(best, tree[lo++]);
-      if (hi % 2 == 1) best = std::max(best, tree[--hi]);
-    }
-    mcs[v] = best;
-  }
+  IntervalLoad load(intervals);
+  for (std::size_t v = 0; v < n; ++v) load.add(v);
+  std::vector<std::size_t> mcs(n);
+  for (std::size_t v = 0; v < n; ++v) mcs[v] = load.max_live(v);
   return mcs;
+}
+
+IntervalLoad::IntervalLoad(std::span<const LiveInterval> intervals) {
+  const EndpointRanks ep(intervals);
+  // Leaf i counts the intervals live at the step just after births[i]:
+  // those with b_u <= births[i] < d_u, the ranks [birth_rank, births_before).
+  lo_ = ep.birth_rank;
+  hi_ = ep.births_before;
+  leaves_ = static_cast<std::uint32_t>(ep.births.size());
+  max_.assign(4 * std::max<std::size_t>(leaves_, 1), 0);
+  whole_.assign(max_.size(), 0);
+}
+
+void IntervalLoad::add(std::size_t node, std::uint32_t nl, std::uint32_t nr,
+                       std::uint32_t l, std::uint32_t r) {
+  if (r <= nl || nr <= l) return;
+  if (l <= nl && nr <= r) {
+    ++max_[node];
+    ++whole_[node];
+    return;
+  }
+  const std::uint32_t mid = nl + (nr - nl) / 2;
+  add(2 * node, nl, mid, l, r);
+  add(2 * node + 1, mid, nr, l, r);
+  max_[node] = std::max(max_[2 * node], max_[2 * node + 1]) + whole_[node];
+}
+
+std::size_t IntervalLoad::query(std::size_t node, std::uint32_t nl,
+                                std::uint32_t nr, std::uint32_t l,
+                                std::uint32_t r) const {
+  if (r <= nl || nr <= l) return 0;
+  if (l <= nl && nr <= r) return max_[node];
+  const std::uint32_t mid = nl + (nr - nl) / 2;
+  return whole_[node] + std::max(query(2 * node, nl, mid, l, r),
+                                 query(2 * node + 1, mid, nr, l, r));
 }
 
 }  // namespace lbist

@@ -161,6 +161,12 @@ void AlgorithmEvents::bist_greedy_fallback(BistFallback reason) {
   }
 }
 
+void AlgorithmEvents::binding_registers_scanned(std::uint64_t n) {
+  if (metrics_ != nullptr) {
+    metrics_->counter("binding.registers_scanned").inc(n);
+  }
+}
+
 void AlgorithmEvents::bist_embeddings_scanned(std::uint64_t n) {
   if (metrics_ != nullptr) metrics_->counter("bist.embeddings_scanned").inc(n);
 }

@@ -82,6 +82,9 @@ class AlgorithmEvents {
               bool new_register, const std::vector<SdCandidate>& candidates);
   void case_override(int case_no, std::string_view var, std::size_t from_reg,
                      std::size_t to_reg);
+  /// Work counter of one BIST-aware binder run: adds `n` (its register fit
+  /// tests) to the `binding.registers_scanned` counter; records no event.
+  void binding_registers_scanned(std::uint64_t n);
 
   // ---- CBILBO avoidance (Section III.B) ---------------------------------
   void cbilbo_checked(std::string_view var, std::size_t reg,

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "binding/bist_aware_binder.hpp"
 #include "binding/cbilbo_check.hpp"
 #include "binding/module_binding.hpp"
@@ -12,6 +15,8 @@
 #include "binding/traditional_binder.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/lifetime.hpp"
+#include "dfg/random_dfg.hpp"
+#include "fuzz/reference.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
 #include "obs/events.hpp"
@@ -259,6 +264,85 @@ TEST(BistAwareBinder, OptionsAreHonored) {
   auto rb = bind_registers_bist_aware(f.bench.design.dfg, f.cg, f.mb, off);
   rb.validate(f.bench.design.dfg, f.lt);
   EXPECT_EQ(rb.num_regs(), 3u);
+}
+
+/// All 16 combinations of the binder's switches.
+std::vector<BistBinderOptions> all_binder_options() {
+  std::vector<BistBinderOptions> all;
+  for (unsigned bits = 0; bits < 16; ++bits) {
+    BistBinderOptions o;
+    o.sd_ordered_pves = (bits & 1u) != 0;
+    o.delta_sd_rule = (bits & 2u) != 0;
+    o.case_overrides = (bits & 4u) != 0;
+    o.avoid_cbilbo = (bits & 8u) != 0;
+    all.push_back(o);
+  }
+  return all;
+}
+
+std::string options_name(const BistBinderOptions& o) {
+  return std::string(o.sd_ordered_pves ? "P" : "-") +
+         (o.delta_sd_rule ? "D" : "-") + (o.case_overrides ? "C" : "-") +
+         (o.avoid_cbilbo ? "A" : "-");
+}
+
+/// The binder against the full-scan reference on one design: without a
+/// sink and with a counters-only one (the SD-ordered scan), and, if
+/// `recorded`, with a recording sink (the index-order scan).
+void expect_matches_full_scan(const std::string& name, const Dfg& dfg,
+                              const Schedule& sched,
+                              const std::vector<ModuleProto>& protos,
+                              const LifetimeOptions& lo,
+                              const std::vector<BistBinderOptions>& options,
+                              bool recorded) {
+  const auto lt = compute_lifetimes(dfg, sched, lo);
+  const VarConflictGraph cg = build_conflict_graph(dfg, lt);
+  const ModuleBinding mb = ModuleBinding::bind(dfg, sched, protos);
+  for (const BistBinderOptions& o : options) {
+    const std::string at = name + " " + options_name(o);
+    const RegisterBinding want = full_scan_bist_binding(dfg, cg, mb, o);
+    EXPECT_EQ(bind_registers_bist_aware(dfg, cg, mb, o).regs, want.regs)
+        << at;
+    AlgorithmEvents counters(nullptr, /*keep_events=*/false);
+    EXPECT_EQ(bind_registers_bist_aware(dfg, cg, mb, o, &counters).regs,
+              want.regs)
+        << at << ", counters-only sink";
+    if (recorded) {
+      AlgorithmEvents recording;
+      EXPECT_EQ(bind_registers_bist_aware(dfg, cg, mb, o, &recording).regs,
+                want.regs)
+          << at << ", recording sink";
+    }
+  }
+}
+
+TEST(BistAwareBinder, MatchesFullScanReference) {
+  const std::vector<BistBinderOptions> all = all_binder_options();
+  for (const auto& bench : paper_benchmarks()) {
+    for (const bool held : {true, false}) {
+      expect_matches_full_scan(
+          bench.name + (held ? " held" : " not held"), bench.design.dfg,
+          *bench.design.schedule, parse_module_spec(bench.module_spec),
+          LifetimeOptions{held}, all, /*recorded=*/true);
+    }
+  }
+  // The scaling tier's shape (bench/bench_scaling.cpp): the 2k design under
+  // every option set, the others under the defaults.
+  for (const int ops : {1000, 2000, 5000, 10000}) {
+    RandomDfgOptions o;
+    o.seed = 424242;
+    o.ops_per_step = 8;
+    o.num_steps = ops / o.ops_per_step;
+    o.num_inputs = 12;
+    o.reuse_probability = 0.9;
+    o.chain_probability = 0.3;
+    const RandomDfg rd = make_random_dfg(o);
+    expect_matches_full_scan(
+        "random " + std::to_string(ops), rd.dfg, rd.schedule,
+        minimal_module_spec(rd.dfg, rd.schedule), LifetimeOptions{false},
+        ops == 2000 ? all : std::vector<BistBinderOptions>(1),
+        /*recorded=*/ops == 1000);
+  }
 }
 
 TEST(RegisterFile, BuildsTheBindingInAssignmentOrder) {

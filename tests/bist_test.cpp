@@ -19,6 +19,7 @@
 #include "dfg/benchmarks.hpp"
 #include "dfg/random_dfg.hpp"
 #include "fuzz/corpus.hpp"
+#include "fuzz/reference.hpp"
 #include "passes/pipeline.hpp"
 #include "sched/list_sched.hpp"
 
@@ -234,72 +235,6 @@ TEST(Allocator, MinimizeSessionsNeverCostsArea) {
   EXPECT_DOUBLE_EQ(a.extra_area, b.extra_area);
   EXPECT_LE(schedule_test_sessions(dp, b).num_sessions,
             schedule_test_sessions(dp, a).num_sessions);
-}
-
-/// The greedy allocation over the full embedding product, written from
-/// the public API only: each module in turn takes the first embedding, in
-/// enumeration order, of least (Δarea, ΔCBILBO, Δmodified).
-BistSolution full_scan_greedy(const Datapath& dp, const AreaModel& model,
-                              bool transparent) {
-  std::vector<RoleFlags> flags(dp.registers.size());
-  auto with_duties = [](RoleFlags f, const BistEmbedding& e,
-                        std::size_t reg) {
-    if (reg == e.tpg_left || reg == e.tpg_right) f.tpg = true;
-    if (e.sa == reg) {
-      f.sa = true;
-      f.cbilbo = f.cbilbo || e.needs_cbilbo();
-    }
-    return f;
-  };
-  BistSolution sol;
-  sol.exact = false;
-  sol.embeddings.assign(dp.modules.size(), std::nullopt);
-  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    std::optional<BistEmbedding> best;
-    std::tuple<double, int, int> best_cost;
-    auto visit = [&](const BistEmbedding& e) {
-      const std::size_t regs[] = {e.tpg_left, e.tpg_right, e.sa.value_or(0)};
-      const std::size_t touched =
-          e.sa.has_value() && !e.needs_cbilbo() ? 3 : 2;
-      std::tuple<double, int, int> cost{0.0, 0, 0};
-      for (std::size_t i = 0; i < touched; ++i) {
-        const std::size_t r = regs[i];
-        const BistRole before = flags[r].role();
-        const BistRole after = with_duties(flags[r], e, r).role();
-        std::get<0>(cost) += model.role_extra(after) - model.role_extra(before);
-        std::get<1>(cost) += static_cast<int>(after == BistRole::Cbilbo) -
-                             static_cast<int>(before == BistRole::Cbilbo);
-        std::get<2>(cost) += static_cast<int>(after != BistRole::None) -
-                             static_cast<int>(before != BistRole::None);
-      }
-      if (!best.has_value() || cost < best_cost) {
-        best = e;
-        best_cost = cost;
-      }
-      return true;
-    };
-    if (transparent) {
-      for_each_embedding_extended(dp, m, visit);
-    } else {
-      for_each_embedding(dp, m, visit);
-    }
-    if (!best.has_value()) {
-      sol.untestable_modules.push_back(m);
-      continue;
-    }
-    for (std::size_t r : {best->tpg_left, best->tpg_right}) {
-      flags[r] = with_duties(flags[r], *best, r);
-    }
-    if (best->sa.has_value()) {
-      flags[*best->sa] = with_duties(flags[*best->sa], *best, *best->sa);
-    }
-    sol.embeddings[m] = best;
-  }
-  for (const RoleFlags& f : flags) {
-    sol.roles.push_back(f.role());
-    sol.extra_area += model.role_extra(f.role());
-  }
-  return sol;
 }
 
 std::string embedding_text(const std::optional<BistEmbedding>& e) {

@@ -234,6 +234,8 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   sink.bist_role(0, "TPG");
   sink.bist_role(1, "CBILBO");
   sink.bist_greedy_fallback(BistFallback::Frontier);
+  sink.binding_registers_scanned(30);
+  sink.binding_registers_scanned(4);
   sink.bist_embeddings_scanned(7);
   sink.bist_embeddings_scanned(5);
   sink.bist_bnb_work(40, 9);
@@ -257,6 +259,7 @@ TEST(AlgorithmEvents, CountersMirrorWithoutRetainingEvents) {
   EXPECT_EQ(counters.at("bist.greedy_fallbacks").as_number(), 1.0);
   EXPECT_EQ(counters.at("bist.fallbacks_frontier").as_number(), 1.0);
   EXPECT_FALSE(counters.contains("bist.fallbacks_register_gate"));
+  EXPECT_EQ(counters.at("binding.registers_scanned").as_number(), 34.0);
   EXPECT_EQ(counters.at("bist.embeddings_scanned").as_number(), 12.0);
   EXPECT_EQ(counters.at("bist.bnb_states").as_number(), 42.0);
   EXPECT_EQ(counters.at("bist.bnb_pruned").as_number(), 10.0);
@@ -436,6 +439,11 @@ TEST(ObsIntegration, Ex1SynthesisEmitsPaperDecisions) {
   const Json dump = metrics.to_json();
   EXPECT_EQ(dump.at("counters").at("binding.assignments").as_number(),
             static_cast<double>(events.count("assign")));
+  // The binder published its fit tests: the recording sink makes it scan
+  // in index order, and the three variables that open a register (d, f,
+  // e) need none, as ex1's decision log shows.  A full scan would make 17.
+  EXPECT_EQ(dump.at("counters").at("binding.registers_scanned").as_number(),
+            14.0);
   // The exact allocator's greedy incumbent published its scan.
   EXPECT_GT(dump.at("counters").at("bist.embeddings_scanned").as_number(),
             0.0);

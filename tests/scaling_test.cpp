@@ -1,8 +1,8 @@
 // Tests for the scaling-tier machinery: DynBitset word-level operations,
-// the scratch Arena, windowed packed adjacency rows, the incremental
-// perfect-elimination-order builder, the ΔSD word kernel and the
-// incremental Lemma-2 CbilboTracker — each checked against a from-scratch
-// recomputation or the dense/reference implementation it replaced.
+// windowed packed adjacency rows, the incremental perfect-elimination-order
+// builder, the ΔSD word kernel and the incremental Lemma-2 CbilboTracker —
+// each checked against a from-scratch recomputation or the dense/reference
+// implementation it replaced.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,6 @@
 #include "graph/chordal.hpp"
 #include "graph/interval.hpp"
 #include "graph/undirected_graph.hpp"
-#include "support/arena.hpp"
 #include "support/dyn_bitset.hpp"
 
 namespace lbist {
@@ -110,31 +109,6 @@ TEST(DynBitsetTest, WordMutatorsMaskSingleWords) {
   b.and_word(0, 0xFF);
   EXPECT_EQ(b.word(0), 0xF0u);
   EXPECT_EQ(b.count(), 4u + 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Arena
-
-TEST(ArenaTest, HandsOutZeroedSpansAndReuses) {
-  Arena arena(64);  // tiny first chunk to force growth
-  auto a = arena.alloc_zeroed<int>(100);
-  ASSERT_EQ(a.size(), 100u);
-  for (int x : a) EXPECT_EQ(x, 0);
-  a[0] = 41;
-  a[99] = 42;
-
-  auto b = arena.alloc<std::uint64_t>(8);
-  ASSERT_EQ(b.size(), 8u);
-  EXPECT_EQ(a[0], 41);  // later allocations never overlap earlier ones
-  EXPECT_EQ(a[99], 42);
-
-  const std::size_t cap = arena.capacity_bytes();
-  arena.reset();
-  // After reset the arena serves from retained memory without growing.
-  auto c = arena.alloc_zeroed<int>(100);
-  ASSERT_EQ(c.size(), 100u);
-  for (int x : c) EXPECT_EQ(x, 0);
-  EXPECT_LE(arena.capacity_bytes(), cap);
 }
 
 // ---------------------------------------------------------------------------

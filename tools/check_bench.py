@@ -17,6 +17,11 @@ baseline does not have to be refreshed in the same commit that adds a
 scenario.  Speedups are reported too — a large one is a hint that the
 baseline is stale and should be refreshed (see docs/performance.md).
 
+A row may also carry "work": deterministic work counts such as
+"binding.registers_scanned".  They repeat exactly on any machine, so
+each count present on both sides is compared exactly: any increase fails
+the gate, and a decrease is reported as a stale baseline.
+
 Stdlib only; exit code 0 = pass, 1 = regression, 2 = usage/IO error.
 """
 
@@ -57,6 +62,25 @@ def pick_metric(base_row, cur_row):
     return None
 
 
+def compare_work(name, base_row, cur_row):
+    """Exact comparison of the work counts both rows carry; returns the
+    counts that went up."""
+    base_work = base_row.get("work", {})
+    cur_work = cur_row.get("work", {})
+    grew = []
+    for key in sorted(set(base_work) & set(cur_work)):
+        b = int(base_work[key])
+        c = int(cur_work[key])
+        verdict = "ok"
+        if c > b:
+            verdict = "FAIL"
+            grew.append(f"{name} {key}")
+        elif c < b:
+            verdict = "fewer (refresh baseline?)"
+        print(f"  [{verdict:>4}] {name}: {key} {b} -> {c}")
+    return grew
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True,
@@ -77,6 +101,7 @@ def main():
         if name not in cur:
             print(f"  [gone] {name}: in baseline only (not compared)")
             continue
+        failures += compare_work(name, base[name], cur[name])
         metric = pick_metric(base[name], cur[name])
         if metric is None:
             print(f"  [skip] {name}: no shared timing metric")
@@ -105,8 +130,9 @@ def main():
               file=sys.stderr)
         sys.exit(2)
     if failures:
-        print(f"check_bench: {len(failures)} row(s) regressed more than "
-              f"{args.max_regression:.0f}%: {', '.join(failures)}",
+        print(f"check_bench: {len(failures)} regression(s) (time past "
+              f"{args.max_regression:.0f}% or more work): "
+              f"{', '.join(failures)}",
               file=sys.stderr)
         sys.exit(1)
     print(f"check_bench: {compared} row(s) within "
