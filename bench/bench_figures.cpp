@@ -19,6 +19,7 @@
 #include "dfg/benchmarks.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "rtl/ipath.hpp"
 #include "support/table.hpp"
 
@@ -84,14 +85,15 @@ void print_fig2_and_4() {
   auto mb = ModuleBinding::bind(dfg, *bench.design.schedule,
                                 parse_module_spec(bench.module_spec));
   SharingAnalysis sa(dfg, mb);
-  auto peo = perfect_elimination_order(cg.graph);
-  auto mcs = max_clique_through_vertex(cg.graph, *peo);
+  const UndirectedGraph g = interval_graph(cg.live_intervals());
+  auto peo = perfect_elimination_order(g);
+  auto mcs = max_clique_through_vertex(g, *peo);
 
   std::cout << "--- Fig. 4: variable conflict graph with (SD, MCS) ---\n";
   TextTable t({"variable", "SD", "MCS", "conflicts with"});
   for (std::size_t v = 0; v < cg.vars.size(); ++v) {
     std::string adj;
-    for (std::size_t u : cg.graph.neighbors(v)) {
+    for (std::size_t u : g.neighbors(v)) {
       adj += (adj.empty() ? "" : ",") + dfg.var(cg.vars[u]).name;
     }
     t.add_row({dfg.var(cg.vars[v]).name, std::to_string(sa.sd(cg.vars[v])),
@@ -116,7 +118,7 @@ void BM_ConflictGraphAndPves(benchmark::State& state) {
   auto lt = compute_lifetimes(bench.design.dfg, *bench.design.schedule);
   for (auto _ : state) {
     auto cg = build_conflict_graph(bench.design.dfg, lt);
-    auto peo = perfect_elimination_order(cg.graph);
+    auto peo = perfect_elimination_order(interval_graph(cg.live_intervals()));
     benchmark::DoNotOptimize(peo->size());
   }
 }

@@ -1,22 +1,25 @@
 // Scaling study (ours): BIST overhead reduction and runtime as the design
 // grows — random scheduled DFGs from ~10 to ~150 variables, plus FIR
 // filters of increasing tap count scheduled with the list scheduler, plus a
-// large tier of 1k–100k-op random DFGs that exercises the bitset conflict
-// graphs and the incremental-ΔSD binder at scale, plus an exact tier of
-// two DSP kernels small enough for the exact BIST allocator.
+// large tier of 1k–100k-op random DFGs that exercises the interval binder
+// and the greedy BIST allocator at scale, plus an exact tier of two DSP
+// kernels small enough for the exact BIST allocator.
 //
 // The large and exact tiers are the CI perf gate: they emit one row each into
 // BENCH_scaling.json (bench/bench_json.hpp) which tools/check_bench.py
 // compares against bench/baselines/BENCH_scaling.json.  Each row's
 // wall_ms is the median of kLargeTierRuns syntheses: one sample of the
 // 1k row spread wider than the gate's 25 % on a shared 4-vCPU VM.  Each
-// large-tier row also carries "work": the binder's register fit tests and
-// the greedy BIST allocator's embeddings, which the gate compares exactly.
+// row also carries "work", which the gate compares exactly: the binder's
+// register fit tests and the greedy BIST allocator's embeddings in the
+// large tier, the branch-and-bound states kept and pruned in the exact
+// tier.
 //
 // Flags (ours, stripped before google-benchmark sees argv):
 //   --scaling-only   run only the large and exact tiers + JSON artifact
 //                    (CI gate mode)
-//   --xl             extend the large tier to 20k/50k/100k ops
+//   --xl             add 20k and 100k ops to the large tier's
+//                    1k/2k/5k/10k/50k
 //
 // Timing benchmarks: the full testable pipeline vs design size.
 
@@ -25,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -143,6 +147,25 @@ double median_of(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
+/// Work counts repeat exactly on any machine, so check_bench.py gates them
+/// exactly: one more synthesis of `dfg`, untimed, with a counters-only
+/// sink, and the named counters it reached.
+Json count_work(const SynthesisOptions& so, const Dfg& dfg,
+                const Schedule& sched, const std::vector<ModuleProto>& protos,
+                std::initializer_list<const char*> counters) {
+  MetricsRegistry metrics;
+  AlgorithmEvents sink(&metrics, /*keep_events=*/false);
+  SynthesisOptions counted = so;
+  counted.events = &sink;
+  (void)Synthesizer(counted).run(dfg, sched, protos);
+  Json work = Json::object();
+  for (const char* counter : counters) {
+    work.set(counter, Json::number(static_cast<std::int64_t>(
+                          metrics.counter(counter).value())));
+  }
+  return work;
+}
+
 void run_large_tier(const std::vector<int>& sizes,
                     benchjson::BenchJson& bj) {
   TextTable t({"ops", "#vars", "#regs", "#mux", "%BIST", "wall ms"});
@@ -160,19 +183,9 @@ void run_large_tier(const std::vector<int>& sizes,
         time_syntheses(so, rd.dfg, rd.schedule, protos, res);
     const double ms = median_of(samples);
 
-    // Work counts repeat exactly on any machine, so check_bench.py gates
-    // them exactly: one more synthesis, untimed, with a counters-only sink.
-    MetricsRegistry metrics;
-    AlgorithmEvents counters(&metrics, /*keep_events=*/false);
-    SynthesisOptions counted = so;
-    counted.events = &counters;
-    (void)Synthesizer(counted).run(rd.dfg, rd.schedule, protos);
-    Json work = Json::object();
-    for (const char* counter :
-         {"binding.registers_scanned", "bist.embeddings_scanned"}) {
-      work.set(counter, Json::number(static_cast<std::int64_t>(
-                            metrics.counter(counter).value())));
-    }
+    Json work =
+        count_work(so, rd.dfg, rd.schedule, protos,
+                   {"binding.registers_scanned", "bist.embeddings_scanned"});
 
     t.add_row({std::to_string(ops), std::to_string(rd.dfg.num_vars()),
                std::to_string(res.num_registers()),
@@ -226,6 +239,8 @@ void run_exact_tier(benchjson::BenchJson& bj) {
     const std::string name = "exact_fir" + std::to_string(taps) + "_m3";
     // The registers the allocator's states span, input registers included.
     const std::size_t dp_regs = res.datapath.registers.size();
+    Json work = count_work(so, fir, sched, protos,
+                           {"bist.bnb_states", "bist.bnb_pruned"});
 
     t.add_row({name, std::to_string(dp_regs),
                res.bist.exact ? "yes" : "no (frontier cap)",
@@ -241,7 +256,8 @@ void run_exact_tier(benchjson::BenchJson& bj) {
                     Json::number(static_cast<std::int64_t>(dp_regs)))
                .set("exact", Json::boolean(res.bist.exact))
                .set("overhead_pct", Json::number(res.overhead_percent))
-               .set("wall_ms", Json::number(ms)));
+               .set("wall_ms", Json::number(ms))
+               .set("work", std::move(work)));
   }
   std::cout << t << std::endl;
 }
@@ -292,12 +308,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<int> sizes = {1000, 2000, 5000, 10000};
-  if (xl) {
-    sizes.push_back(20000);
-    sizes.push_back(50000);
-    sizes.push_back(100000);
-  }
+  const std::vector<int> sizes =
+      xl ? std::vector<int>{1000, 2000, 5000, 10000, 20000, 50000, 100000}
+         : std::vector<int>{1000, 2000, 5000, 10000, 50000};
 
   lbist::benchjson::BenchJson bj("scaling");
   if (!scaling_only) print_scaling();

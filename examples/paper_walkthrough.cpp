@@ -18,6 +18,7 @@
 #include "dfg/benchmarks.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "interconnect/build_datapath.hpp"
 #include "obs/events.hpp"
 #include "support/table.hpp"
@@ -37,8 +38,9 @@ int main() {
   SharingAnalysis sa(dfg, mb);
 
   std::cout << "=== conflict graph with (SD, MCS) — paper Fig. 4 ===\n";
-  auto peo = perfect_elimination_order(cg.graph);
-  auto mcs = max_clique_through_vertex(cg.graph, *peo);
+  const UndirectedGraph g = interval_graph(cg.live_intervals());
+  auto peo = perfect_elimination_order(g);
+  auto mcs = max_clique_through_vertex(g, *peo);
   TextTable fig4({"var", "lifetime", "SD", "MCS"});
   for (std::size_t v = 0; v < cg.vars.size(); ++v) {
     const auto& iv = lt[cg.vars[v]];

@@ -1,5 +1,7 @@
 #include "binding/clique_binder.hpp"
 
+#include <span>
+
 #include "binding/sharing.hpp"
 #include "graph/clique_partition.hpp"
 
@@ -9,7 +11,14 @@ RegisterBinding bind_registers_clique(const Dfg& dfg,
                                       const VarConflictGraph& cg,
                                       const ModuleBinding& mb) {
   SharingAnalysis sa(dfg, mb);
-  const UndirectedGraph compat = cg.graph.complement();
+  // Two variables are compatible iff their live intervals do not overlap.
+  const std::span<const LiveInterval> live = cg.live_intervals();
+  UndirectedGraph compat(live.size());
+  for (std::size_t a = 0; a < live.size(); ++a) {
+    for (std::size_t b = a + 1; b < live.size(); ++b) {
+      if (!live[a].overlaps(live[b])) compat.add_edge(a, b);
+    }
+  }
 
   auto affinity = [&](std::size_t u, std::size_t v) {
     // Sharing gain of the merged pair, plus a nudge for variables produced

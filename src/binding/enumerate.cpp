@@ -1,5 +1,6 @@
 #include "binding/enumerate.hpp"
 
+#include <span>
 #include <vector>
 
 #include "support/check.hpp"
@@ -11,6 +12,7 @@ namespace {
 struct Enumerator {
   const Dfg& dfg;
   const VarConflictGraph& cg;
+  std::span<const LiveInterval> live;
   std::size_t max_regs;
   const std::function<bool(const RegisterBinding&)>& visit;
 
@@ -20,7 +22,7 @@ struct Enumerator {
 
   bool compatible(const std::vector<std::size_t>& cls, std::size_t v) const {
     for (std::size_t member : cls) {
-      if (cg.graph.adjacent(member, v)) return false;
+      if (live[member].overlaps(live[v])) return false;
     }
     return true;
   }
@@ -41,7 +43,7 @@ struct Enumerator {
 
   void recurse(std::size_t v) {
     if (stopped) return;
-    if (v == cg.graph.num_vertices()) {
+    if (v == live.size()) {
       emit();
       return;
     }
@@ -70,7 +72,7 @@ std::size_t enumerate_bindings(
     const Dfg& dfg, const VarConflictGraph& cg, std::size_t max_regs,
     const std::function<bool(const RegisterBinding&)>& visit) {
   LBIST_CHECK(max_regs >= 1, "need at least one register");
-  Enumerator e{dfg, cg, max_regs, visit, {}, 0, false};
+  Enumerator e{dfg, cg, cg.live_intervals(), max_regs, visit, {}, 0, false};
   e.recurse(0);
   return e.visited;
 }

@@ -24,9 +24,7 @@ struct Search {
     bool have_pivot = false;
     for (std::size_t v = 0; v < g.num_vertices(); ++v) {
       if (!p.test(v) && !x.test(v)) continue;
-      DynBitset np = p;
-      g.row(v).and_into(np);
-      const std::size_t d = np.count();
+      const std::size_t d = p.intersect_count(g.row(v));
       if (!have_pivot || d > pivot_degree) {
         pivot = v;
         pivot_degree = d;
@@ -37,14 +35,15 @@ struct Search {
     // Candidates: P minus the pivot's neighbourhood.
     DynBitset candidates = p;
     if (have_pivot) {
-      g.row(pivot).for_each([&](std::size_t v) { candidates.reset(v); });
+      g.row(pivot).for_each_set_bit(
+          [&](std::size_t v) { candidates.reset(v); });
     }
     for (std::size_t v : candidates.members()) {
       r.push_back(v);
       DynBitset np = p;
-      g.row(v).and_into(np);
+      np &= g.row(v);
       DynBitset nx = x;
-      g.row(v).and_into(nx);
+      nx &= g.row(v);
       expand(r, np, nx);
       r.pop_back();
       p.reset(v);

@@ -1,6 +1,8 @@
 #include "graph/chordal.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
 #include <utility>
 
@@ -10,33 +12,31 @@ namespace lbist {
 
 namespace {
 
-/// Window-local simpliciality check: is N(v) ∩ alive a clique?  `alive` is
-/// bit-per-vertex; `scratch` receives the alive neighbourhood words and must
-/// be at least the row window long.  On failure `witness` receives a pair of
-/// alive, non-adjacent neighbours — the certificate stays valid until one of
-/// them is eliminated, so callers can skip rechecks while both live.
+/// Is N(v) ∩ alive a clique?  Leaves N(v) ∩ alive in `alive_nbrs`.  On
+/// failure `witness` receives a pair of alive, non-adjacent neighbours —
+/// the certificate stays valid until one of them is eliminated, so callers
+/// can skip rechecks while both live.
 bool simplicial_in(const UndirectedGraph& g, std::size_t v,
-                   const DynBitset& alive,
-                   std::vector<std::uint64_t>& scratch,
+                   const DynBitset& alive, DynBitset& alive_nbrs,
                    std::pair<std::size_t, std::size_t>* witness) {
-  const RowView row = g.row(v);
-  const std::size_t lo = row.word_lo();
-  const std::size_t hi = row.word_hi();
-  scratch.resize(hi > lo ? hi - lo : 0);
+  alive_nbrs = g.row(v);
+  alive_nbrs &= alive;
+  // Only the words from the first to the last alive neighbour can hold a
+  // violation; interval graphs keep that span short.
+  std::size_t lo = 0;
+  std::size_t hi = alive_nbrs.num_words();
+  while (lo < hi && alive_nbrs.word(lo) == 0) ++lo;
+  while (hi > lo && alive_nbrs.word(hi - 1) == 0) --hi;
   for (std::size_t w = lo; w < hi; ++w) {
-    const std::uint64_t aw = w < alive.num_words() ? alive.word(w) : 0;
-    scratch[w - lo] = row.word(w) & aw;
-  }
-  for (std::size_t w = lo; w < hi; ++w) {
-    std::uint64_t bits = scratch[w - lo];
+    std::uint64_t bits = alive_nbrs.word(w);
     while (bits != 0) {
       const std::size_t u =
           w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
       bits &= bits - 1;
       // (alive N(v) \ {u}) must be a subset of N(u).
-      const RowView row_u = g.row(u);
+      const DynBitset& row_u = g.row(u);
       for (std::size_t w2 = lo; w2 < hi; ++w2) {
-        std::uint64_t bad = scratch[w2 - lo] & ~row_u.word(w2);
+        std::uint64_t bad = alive_nbrs.word(w2) & ~row_u.word(w2);
         if (w2 == u / 64) bad &= ~(std::uint64_t{1} << (u % 64));
         if (bad != 0) {
           if (witness != nullptr) {
@@ -55,20 +55,13 @@ bool simplicial_in(const UndirectedGraph& g, std::size_t v,
 
 bool is_simplicial(const UndirectedGraph& g, std::size_t v,
                    const DynBitset& removed) {
-  DynBitset alive(g.num_vertices());
-  for (std::size_t w = 0; w < alive.num_words(); ++w) {
-    const std::uint64_t rw = w < removed.num_words() ? removed.word(w) : 0;
-    alive.or_word(w, ~rw);
-  }
-  // Mask stray high bits the complement may have introduced in the last
-  // word (they would otherwise alias out-of-range "alive" vertices).
   const std::size_t n = g.num_vertices();
-  if (n % 64 != 0 && alive.num_words() > 0) {
-    alive.and_word(alive.num_words() - 1,
-                   (std::uint64_t{1} << (n % 64)) - 1);
+  DynBitset alive(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    if (u >= removed.size() || !removed.test(u)) alive.set(u);
   }
-  std::vector<std::uint64_t> scratch;
-  return simplicial_in(g, v, alive, scratch, nullptr);
+  DynBitset alive_nbrs;
+  return simplicial_in(g, v, alive, alive_nbrs, nullptr);
 }
 
 std::optional<std::vector<std::size_t>> perfect_elimination_order(
@@ -94,13 +87,13 @@ std::optional<std::vector<std::size_t>> perfect_elimination_order(
   constexpr std::size_t kNone = SIZE_MAX;
   std::vector<std::pair<std::size_t, std::size_t>> witness(
       n, {kNone, kNone});
-  std::vector<std::uint64_t> scratch;
+  DynBitset alive_nbrs;
 
   using HeapItem = std::pair<std::size_t, std::size_t>;  // (rank, vertex)
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
 
   for (std::size_t v = 0; v < n; ++v) {
-    if (simplicial_in(g, v, alive, scratch, &witness[v])) {
+    if (simplicial_in(g, v, alive, alive_nbrs, &witness[v])) {
       ready[v] = 1;
       heap.emplace(rank(v), v);
     }
@@ -114,11 +107,11 @@ std::optional<std::vector<std::size_t>> perfect_elimination_order(
     heap.pop();
     order.push_back(v);
     alive.reset(v);
-    g.row(v).for_each([&](std::size_t u) {
+    g.row(v).for_each_set_bit([&](std::size_t u) {
       if (!alive.test(u) || ready[u] != 0) return;
       auto& [wa, wb] = witness[u];
       if (wa != kNone && alive.test(wa) && alive.test(wb)) return;
-      if (simplicial_in(g, u, alive, scratch, &witness[u])) {
+      if (simplicial_in(g, u, alive, alive_nbrs, &witness[u])) {
         ready[u] = 1;
         heap.emplace(rank(u), u);
       }
@@ -140,7 +133,7 @@ std::vector<std::vector<std::size_t>> elimination_cliques(
   cliques.reserve(n);
   for (std::size_t v : order) {
     std::vector<std::size_t> clique{v};
-    g.row(v).for_each([&](std::size_t u) {
+    g.row(v).for_each_set_bit([&](std::size_t u) {
       if (!removed.test(u)) clique.push_back(u);
     });
     std::sort(clique.begin(), clique.end());
@@ -160,11 +153,11 @@ std::vector<std::size_t> max_clique_through_vertex(
   DynBitset removed(n);
   for (std::size_t v : order) {
     std::size_t clique_size = 1;
-    g.row(v).for_each([&](std::size_t u) {
+    g.row(v).for_each_set_bit([&](std::size_t u) {
       if (!removed.test(u)) ++clique_size;
     });
     mcs[v] = std::max(mcs[v], clique_size);
-    g.row(v).for_each([&](std::size_t u) {
+    g.row(v).for_each_set_bit([&](std::size_t u) {
       if (!removed.test(u)) mcs[u] = std::max(mcs[u], clique_size);
     });
     removed.set(v);

@@ -147,6 +147,17 @@ class WatchLists {
 
 }  // namespace
 
+UndirectedGraph interval_graph(std::span<const LiveInterval> intervals) {
+  const std::size_t n = intervals.size();
+  UndirectedGraph g(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      if (intervals[a].overlaps(intervals[b])) g.add_edge(a, b);
+    }
+  }
+  return g;
+}
+
 std::vector<std::size_t> interval_elimination_order(
     std::span<const LiveInterval> intervals,
     const std::vector<std::size_t>& priority_rank) {

@@ -22,10 +22,10 @@
 //    `IntervalLoad` query: see bist_aware_binder.cpp.
 //
 // Endpoints are indexed by rank, not by step value, so memory is O(n)
-// whatever the step numbers are.  The generic routines in graph/chordal.hpp
-// stay as the reference these are tested against.  Every interval must be
-// non-empty (birth < death), as `compute_lifetimes` guarantees; an empty
-// one throws lbist::Error.
+// whatever the step numbers are.  The generic routines in graph/chordal.hpp,
+// run on `interval_graph`, stay as the reference these are tested against.
+// Every interval must be non-empty (birth < death), as `compute_lifetimes`
+// guarantees; an empty one throws lbist::Error.
 
 #include <algorithm>
 #include <cstddef>
@@ -35,8 +35,16 @@
 #include <vector>
 
 #include "dfg/lifetime.hpp"
+#include "graph/undirected_graph.hpp"
 
 namespace lbist {
+
+/// The intersection graph of `intervals`: an edge between every two that
+/// overlap.  Dense rows and an O(n^2) pair test; it feeds the generic
+/// routines of graph/chordal.hpp, which the tests and demos use as the
+/// reference for the ones below.  Synthesis never builds it.
+[[nodiscard]] UndirectedGraph interval_graph(
+    std::span<const LiveInterval> intervals);
 
 /// The elimination order `perfect_elimination_order` builds on the
 /// intersection graph of `intervals`: at every step the simplicial vertex

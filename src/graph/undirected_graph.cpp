@@ -1,77 +1,17 @@
 #include "graph/undirected_graph.hpp"
 
+#include "support/check.hpp"
+
 namespace lbist {
-
-UndirectedGraph::UndirectedGraph(std::size_t n) {
-  const std::size_t words_per_row = (n + 63) / 64;
-  rows_.resize(n);
-  words_.assign(n * words_per_row, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    rows_[v].offset = v * words_per_row;
-    rows_[v].word_lo = 0;
-    rows_[v].word_hi = static_cast<std::uint32_t>(words_per_row);
-  }
-}
-
-UndirectedGraph::UndirectedGraph(
-    std::size_t n,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& edges) {
-  rows_.resize(n);
-  // Pass 1: each row's neighbour word span.
-  std::vector<std::uint32_t> lo(n, UINT32_MAX);
-  std::vector<std::uint32_t> hi(n, 0);
-  auto widen = [&](std::uint32_t v, std::uint32_t nbr) {
-    const auto w = nbr / 64;
-    lo[v] = std::min(lo[v], w);
-    hi[v] = std::max(hi[v], w + 1);
-  };
-  for (const auto& [a, b] : edges) {
-    LBIST_CHECK(a < n && b < n, "vertex out of range");
-    LBIST_CHECK(a != b, "self loops not allowed");
-    widen(a, b);
-    widen(b, a);
-  }
-  std::size_t total = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (lo[v] == UINT32_MAX) lo[v] = hi[v] = 0;  // isolated vertex
-    rows_[v].offset = total;
-    rows_[v].word_lo = lo[v];
-    rows_[v].word_hi = hi[v];
-    total += hi[v] - lo[v];
-  }
-  words_.assign(total, 0);
-  // Pass 2: set the bits (add_edge dedupes and counts).
-  for (const auto& [a, b] : edges) add_edge(a, b);
-}
 
 void UndirectedGraph::add_edge(std::size_t a, std::size_t b) {
   LBIST_CHECK(a < rows_.size() && b < rows_.size(), "vertex out of range");
   LBIST_CHECK(a != b, "self loops not allowed");
-  const RowMeta& ra = rows_[a];
-  const RowMeta& rb = rows_[b];
-  const std::size_t wa = b / 64;
-  const std::size_t wb = a / 64;
-  LBIST_CHECK(wa >= ra.word_lo && wa < ra.word_hi && wb >= rb.word_lo &&
-                  wb < rb.word_hi,
-              "edge outside packed row windows");
-  std::uint64_t& word_a = words_[ra.offset + (wa - ra.word_lo)];
-  const std::uint64_t bit_a = std::uint64_t{1} << (b % 64);
-  if ((word_a & bit_a) == 0) {
-    word_a |= bit_a;
-    words_[rb.offset + (wb - rb.word_lo)] |= std::uint64_t{1} << (a % 64);
+  if (!rows_[a].test(b)) {
+    rows_[a].set(b);
+    rows_[b].set(a);
     ++num_edges_;
   }
-}
-
-UndirectedGraph UndirectedGraph::complement() const {
-  const std::size_t n = num_vertices();
-  UndirectedGraph g(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (!adjacent(a, b)) g.add_edge(a, b);
-    }
-  }
-  return g;
 }
 
 }  // namespace lbist

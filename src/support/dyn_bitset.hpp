@@ -27,11 +27,6 @@ class DynBitset {
   [[nodiscard]] std::size_t num_words() const { return words_.size(); }
   [[nodiscard]] std::uint64_t word(std::size_t w) const { return words_[w]; }
 
-  /// words_[w] &= mask — word-granular masking for row-window operations.
-  void and_word(std::size_t w, std::uint64_t mask) { words_[w] &= mask; }
-  /// words_[w] |= mask.  Caller must keep bits within [0, size).
-  void or_word(std::size_t w, std::uint64_t mask) { words_[w] |= mask; }
-
   void set(std::size_t i) { words_[i / 64] |= (std::uint64_t{1} << (i % 64)); }
   void reset(std::size_t i) {
     words_[i / 64] &= ~(std::uint64_t{1} << (i % 64));

@@ -10,6 +10,7 @@
 #include "dfg/lifetime.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "interconnect/build_datapath.hpp"
 
 namespace lbist {
@@ -33,7 +34,9 @@ TEST(Ralloc, ProducesValidBinding) {
     Fixture f(b);
     auto rb = bind_registers_ralloc(f.bench.design.dfg, f.cg, f.mb);
     rb.validate(f.bench.design.dfg, f.lt);
-    EXPECT_GE(rb.num_regs(), chordal_clique_number(f.cg.graph)) << b.name;
+    EXPECT_GE(rb.num_regs(),
+              chordal_clique_number(interval_graph(f.cg.live_intervals())))
+        << b.name;
   }
 }
 
@@ -90,7 +93,8 @@ TEST(Syntest, UsesMoreRegistersThanMinimumOnPaulin) {
   // registers where ours needs 4).
   Fixture f(make_paulin());
   auto rb = bind_registers_syntest(f.bench.design.dfg, f.cg, f.mb);
-  EXPECT_GT(rb.num_regs(), chordal_clique_number(f.cg.graph));
+  EXPECT_GT(rb.num_regs(),
+            chordal_clique_number(interval_graph(f.cg.live_intervals())));
 }
 
 TEST(Baselines, PipelineIntegration) {

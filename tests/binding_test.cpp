@@ -19,6 +19,7 @@
 #include "fuzz/reference.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "obs/events.hpp"
 #include "support/check.hpp"
 
@@ -206,7 +207,9 @@ TEST(TraditionalBinder, MinimumRegistersOnAllBenchmarks) {
     auto cg = build_conflict_graph(bench.design.dfg, lt);
     auto rb = bind_registers_traditional(bench.design.dfg, cg, lt);
     rb.validate(bench.design.dfg, lt);
-    EXPECT_EQ(rb.num_regs(), chordal_clique_number(cg.graph)) << bench.name;
+    EXPECT_EQ(rb.num_regs(),
+              chordal_clique_number(interval_graph(cg.live_intervals())))
+        << bench.name;
   }
 }
 
@@ -219,7 +222,9 @@ TEST(BistAwareBinder, MinimumRegistersOnAllBenchmarks) {
     auto rb = bind_registers_bist_aware(bench.design.dfg, cg, mb);
     rb.validate(bench.design.dfg, lt);
     // The paper reports the minimum register count on every benchmark.
-    EXPECT_EQ(rb.num_regs(), chordal_clique_number(cg.graph)) << bench.name;
+    EXPECT_EQ(rb.num_regs(),
+              chordal_clique_number(interval_graph(cg.live_intervals())))
+        << bench.name;
   }
 }
 

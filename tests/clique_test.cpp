@@ -7,6 +7,7 @@
 #include "dfg/lifetime.hpp"
 #include "graph/clique_partition.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "graph/chordal.hpp"
 
 namespace lbist {
@@ -68,7 +69,8 @@ TEST(CliqueBinder, ValidOnAllBenchmarks) {
     rb.validate(bench.design.dfg, lt);
     // Clique partitioning has no minimality guarantee but should stay close
     // on these small interval graphs.
-    EXPECT_LE(rb.num_regs(), chordal_clique_number(cg.graph) + 2)
+    EXPECT_LE(rb.num_regs(),
+              chordal_clique_number(interval_graph(cg.live_intervals())) + 2)
         << bench.name;
   }
 }

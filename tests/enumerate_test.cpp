@@ -40,29 +40,28 @@ TEST(Enumerate, AllBindingsAreValidAndCanonical) {
 }
 
 TEST(Enumerate, CountsMatchHandComputableGraphs) {
-  // An empty 3-vertex conflict graph: partitions of 3 elements into <= 3
-  // classes = Bell(3) = 5; into exactly 2 classes = S(3,2) = 3.
   Dfg dfg("free");
   VarId a = dfg.add_input("a");
   VarId b = dfg.add_input("b");
   VarId r1 = dfg.add_op(OpKind::Add, a, b, "r1");
   dfg.mark_output(r1);
-  // Hand-build a conflict graph with 3 isolated vertices.
   VarConflictGraph cg;
   cg.vertex_of.assign(dfg.num_vars(), -1);
   for (VarId v : {a, b, r1}) {
     cg.vertex_of[v] = static_cast<int>(cg.vars.size());
     cg.vars.push_back(v);
   }
-  cg.graph = UndirectedGraph(3);
+  // Three disjoint intervals, an edgeless conflict graph: partitions of 3
+  // elements into <= 3 classes = Bell(3) = 5; into exactly 2 classes =
+  // S(3,2) = 3.
+  cg.intervals = {{0, 1}, {1, 2}, {2, 3}};
   EXPECT_EQ(enumerate_bindings(dfg, cg, 3,
                                [](const RegisterBinding&) { return true; }),
             5u);
   EXPECT_EQ(count_bindings_exact(dfg, cg, 2), 3u);
-  // A triangle conflict graph admits exactly one binding (all singletons).
-  cg.graph.add_edge(0, 1);
-  cg.graph.add_edge(1, 2);
-  cg.graph.add_edge(0, 2);
+  // Three pairwise-overlapping intervals, a triangle: exactly one binding
+  // (all singletons).
+  cg.intervals = {{0, 3}, {1, 4}, {2, 5}};
   EXPECT_EQ(enumerate_bindings(dfg, cg, 3,
                                [](const RegisterBinding&) { return true; }),
             1u);

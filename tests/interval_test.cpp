@@ -1,9 +1,10 @@
 // Differential test of the interval-native chordal routines
 // (src/graph/interval.hpp) against the generic bitset ones
-// (src/graph/chordal.hpp): elimination order under the identity rank and
-// the binder's (SD, MCS) rank, MCS, and register feasibility, on the paper
-// designs, the checked-in corpus seeds, large random DFGs in both lifetime
-// conventions and hand-made interval families.
+// (src/graph/chordal.hpp) run on `interval_graph`: elimination order under
+// the identity rank and the binder's (SD, MCS) rank, MCS, and register
+// feasibility, on the paper designs, the checked-in corpus seeds, large
+// random DFGs in both lifetime conventions and hand-made interval
+// families.  Also checks `interval_graph`'s edges themselves.
 
 #include <gtest/gtest.h>
 
@@ -98,22 +99,26 @@ void expect_design_matches(const std::string& name, const Dfg& dfg,
         build_conflict_graph(dfg, compute_lifetimes(dfg, sched, lo));
     std::vector<int> sd(cg.vars.size());
     for (std::size_t v = 0; v < sd.size(); ++v) sd[v] = sa.sd(cg.vars[v]);
-    expect_matches_generic(name + (hold ? " (outputs held)" : ""), cg.graph,
+    expect_matches_generic(name + (hold ? " (outputs held)" : ""),
+                           interval_graph(cg.live_intervals()),
                            cg.live_intervals(), sd);
   }
 }
 
-UndirectedGraph overlap_graph(const std::vector<LiveInterval>& iv) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::size_t a = 0; a < iv.size(); ++a) {
-    for (std::size_t b = a + 1; b < iv.size(); ++b) {
-      if (iv[a].overlaps(iv[b])) {
-        edges.emplace_back(static_cast<std::uint32_t>(a),
-                           static_cast<std::uint32_t>(b));
-      }
-    }
-  }
-  return UndirectedGraph(iv.size(), edges);
+/// Hand-made interval families: ties, nesting, touching endpoints, steps
+/// at the ends of the int range, and the trivial graphs.
+const std::vector<std::pair<std::string, std::vector<LiveInterval>>>&
+hand_made_families() {
+  static const std::vector<std::pair<std::string, std::vector<LiveInterval>>>
+      sets = {
+          {"identical", {{2, 6}, {2, 6}, {2, 6}, {2, 6}, {2, 6}}},
+          {"nested", {{0, 10}, {1, 9}, {2, 8}, {3, 7}, {4, 6}, {4, 5}}},
+          {"touching", {{0, 2}, {2, 4}, {4, 6}, {2, 6}, {0, 4}, {6, 7}}},
+          {"extreme steps",
+           {{-2000000000, 3}, {0, 2000000000}, {2, 3}, {3, 4}}},
+          {"one vertex", {{3, 4}}},
+          {"none", {}}};
+  return sets;
 }
 
 TEST(IntervalChordal, MatchesGenericRoutines) {
@@ -155,19 +160,12 @@ TEST(IntervalChordal, MatchesGenericRoutines) {
                           minimal_module_spec(rd.dfg, rd.schedule));
   }
 
-  const std::vector<std::pair<std::string, std::vector<LiveInterval>>> sets =
-      {{"identical", {{2, 6}, {2, 6}, {2, 6}, {2, 6}, {2, 6}}},
-       {"nested", {{0, 10}, {1, 9}, {2, 8}, {3, 7}, {4, 6}, {4, 5}}},
-       {"touching", {{0, 2}, {2, 4}, {4, 6}, {2, 6}, {0, 4}, {6, 7}}},
-       {"extreme steps", {{-2000000000, 3}, {0, 2000000000}, {2, 3}, {3, 4}}},
-       {"one vertex", {{3, 4}}},
-       {"none", {}}};
-  for (const auto& [name, iv] : sets) {
+  for (const auto& [name, iv] : hand_made_families()) {
     std::vector<int> sd(iv.size());
     for (std::size_t v = 0; v < sd.size(); ++v) {
       sd[v] = static_cast<int>(v % 2);
     }
-    expect_matches_generic(name, overlap_graph(iv), iv, sd);
+    expect_matches_generic(name, interval_graph(iv), iv, sd);
   }
 
   // An empty interval has no place in a conflict graph.
@@ -175,6 +173,45 @@ TEST(IntervalChordal, MatchesGenericRoutines) {
   EXPECT_THROW((void)interval_elimination_order(empty_interval), Error);
   EXPECT_THROW((void)interval_max_clique_through_vertex(empty_interval),
                Error);
+}
+
+/// `interval_graph` joins exactly the pairs that share a step: for
+/// (b1, d1] and (b2, d2], some t with max(b1, b2) < t <= min(d1, d2).
+void expect_edges_are_overlaps(const std::string& name,
+                               std::span<const LiveInterval> iv) {
+  SCOPED_TRACE(name);
+  const UndirectedGraph g = interval_graph(iv);
+  ASSERT_EQ(g.num_vertices(), iv.size());
+  std::size_t edges = 0;
+  for (std::size_t a = 0; a < iv.size(); ++a) {
+    EXPECT_FALSE(g.adjacent(a, a));
+    for (std::size_t b = a + 1; b < iv.size(); ++b) {
+      const bool share_a_step = std::max(iv[a].birth, iv[b].birth) <
+                                std::min(iv[a].death, iv[b].death);
+      EXPECT_EQ(g.adjacent(a, b), share_a_step) << a << " vs " << b;
+      EXPECT_EQ(g.adjacent(b, a), share_a_step) << b << " vs " << a;
+      edges += share_a_step ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(g.num_edges(), edges);
+}
+
+TEST(ConflictGraph, EdgesMatchOverlaps) {
+  const Benchmark bench = make_ex1();
+  const VarConflictGraph cg = build_conflict_graph(
+      bench.design.dfg,
+      compute_lifetimes(bench.design.dfg, *bench.design.schedule));
+  expect_edges_are_overlaps("ex1", cg.live_intervals());
+  for (const auto& [name, iv] : hand_made_families()) {
+    expect_edges_are_overlaps(name, iv);
+  }
+
+  // Endpoints that only touch share no step.
+  const std::vector<LiveInterval> touching = {{0, 2}, {2, 4}, {0, 4}};
+  const UndirectedGraph g = interval_graph(touching);
+  EXPECT_FALSE(g.adjacent(0, 1));
+  EXPECT_TRUE(g.adjacent(0, 2));
+  EXPECT_TRUE(g.adjacent(1, 2));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "dfg/random_dfg.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
+#include "graph/interval.hpp"
 #include "interconnect/build_datapath.hpp"
 #include "rtl/ipath.hpp"
 
@@ -53,12 +54,13 @@ class RandomDesigns : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDesigns, ConflictGraphsAreChordal) {
   BuiltRandom b(commutative_opts(GetParam()));
-  EXPECT_TRUE(is_chordal(b.cg.graph));
+  EXPECT_TRUE(is_chordal(interval_graph(b.cg.live_intervals())));
 }
 
 TEST_P(RandomDesigns, BothBindersValidAndMinimum) {
   BuiltRandom b(commutative_opts(GetParam()));
-  const std::size_t minimum = chordal_clique_number(b.cg.graph);
+  const std::size_t minimum =
+      chordal_clique_number(interval_graph(b.cg.live_intervals()));
 
   auto trad = bind_registers_traditional(b.rd.dfg, b.cg, b.lt);
   trad.validate(b.rd.dfg, b.lt);

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/ralloc.hpp"
+#include "baselines/syntest.hpp"
 #include "binding/bist_aware_binder.hpp"
+#include "binding/clique_binder.hpp"
+#include "binding/enumerate.hpp"
 #include "binding/module_binding.hpp"
 #include "bist/aliasing.hpp"
 #include "bist/verilog_bist.hpp"
@@ -48,32 +52,31 @@ TEST(Robustness, ScheduleStepsArePositive) {
   EXPECT_THROW(Schedule(dfg, std::move(steps)), Error);
 }
 
-TEST(Robustness, BinderRejectsNonChordalGraph) {
-  // Hand-built 4-cycle conflict graph (cannot arise from straight-line
-  // schedules, but callers can feed arbitrary graphs).
-  Dfg dfg("cyc");
-  std::vector<VarId> vars;
+TEST(Robustness, IntervalBindersRejectGraphWithoutIntervals) {
+  // A conflict graph assembled by hand with vertices but no live intervals:
+  // every binder that reads the intervals refuses it instead of binding
+  // variables it knows nothing about.
+  Dfg dfg("bare");
   VarId in = dfg.add_input("seed");
   VarId prev = in;
   for (int i = 0; i < 4; ++i) {
     prev = dfg.add_op(OpKind::Add, prev, in, "v" + std::to_string(i));
-    vars.push_back(prev);
   }
   dfg.mark_output(prev);
-  VarConflictGraph cg;
-  cg.vertex_of.assign(dfg.num_vars(), -1);
-  for (VarId v : vars) {
-    cg.vertex_of[v] = static_cast<int>(cg.vars.size());
-    cg.vars.push_back(v);
-  }
-  cg.graph = UndirectedGraph(4);
-  cg.graph.add_edge(0, 1);
-  cg.graph.add_edge(1, 2);
-  cg.graph.add_edge(2, 3);
-  cg.graph.add_edge(3, 0);
-  auto mb = ModuleBinding::bind(dfg, asap_schedule(dfg),
-                                minimal_module_spec(dfg, asap_schedule(dfg)));
-  EXPECT_THROW((void)bind_registers_bist_aware(dfg, cg, mb), Error);
+  const Schedule sched = asap_schedule(dfg);
+  const VarConflictGraph full =
+      build_conflict_graph(dfg, compute_lifetimes(dfg, sched));
+  VarConflictGraph bare = full;
+  bare.intervals.clear();
+  auto mb = ModuleBinding::bind(dfg, sched, minimal_module_spec(dfg, sched));
+  EXPECT_THROW((void)bind_registers_bist_aware(dfg, bare, mb), Error);
+  EXPECT_THROW((void)bind_registers_clique(dfg, bare, mb), Error);
+  EXPECT_THROW((void)bind_registers_ralloc(dfg, bare, mb), Error);
+  EXPECT_THROW((void)bind_registers_syntest(dfg, bare, mb), Error);
+  EXPECT_THROW((void)enumerate_bindings(
+                   dfg, bare, 4, [](const RegisterBinding&) { return true; }),
+               Error);
+  EXPECT_NO_THROW((void)bind_registers_bist_aware(dfg, full, mb));
 }
 
 TEST(Robustness, FarControlStepsSynthesize) {

@@ -1,15 +1,14 @@
 // Tests for the scaling-tier machinery: DynBitset word-level operations,
-// windowed packed adjacency rows, the incremental perfect-elimination-order
-// builder, the ΔSD word kernel and the incremental Lemma-2 CbilboTracker —
-// each checked against a from-scratch recomputation or the dense/reference
-// implementation it replaced.
+// the incremental perfect-elimination-order builder, the ΔSD word kernel
+// and the incremental Lemma-2 CbilboTracker — each checked against a
+// from-scratch recomputation or the reference implementation it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
-#include <utility>
 #include <vector>
 
 #include "binding/cbilbo_check.hpp"
@@ -99,110 +98,6 @@ TEST(DynBitsetTest, CountAndNotMatchesMergedRecompute) {
   }
 }
 
-TEST(DynBitsetTest, WordMutatorsMaskSingleWords) {
-  DynBitset b(130);
-  b.or_word(0, 0xF0F0);
-  b.or_word(2, 0x3);
-  EXPECT_EQ(b.word(0), 0xF0F0u);
-  EXPECT_EQ(b.word(1), 0u);
-  EXPECT_EQ(b.word(2), 0x3u);
-  b.and_word(0, 0xFF);
-  EXPECT_EQ(b.word(0), 0xF0u);
-  EXPECT_EQ(b.count(), 4u + 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Windowed adjacency rows
-
-UndirectedGraph random_dense(std::size_t n, std::mt19937_64& rng,
-                             std::vector<std::pair<std::uint32_t,
-                                                   std::uint32_t>>* edges) {
-  UndirectedGraph dense(n);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (rng() % 4 == 0) {
-        dense.add_edge(a, b);
-        edges->emplace_back(static_cast<std::uint32_t>(a),
-                            static_cast<std::uint32_t>(b));
-      }
-    }
-  }
-  return dense;
-}
-
-TEST(UndirectedGraphTest, WindowedBulkConstructionMatchesDense) {
-  std::mt19937_64 rng(99);
-  for (std::size_t n : {std::size_t{5}, std::size_t{70}, std::size_t{130}}) {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-    const UndirectedGraph dense = random_dense(n, rng, &edges);
-    // Duplicated edges must not double-count.
-    auto doubled = edges;
-    doubled.insert(doubled.end(), edges.begin(), edges.end());
-    const UndirectedGraph packed(n, doubled);
-
-    EXPECT_EQ(packed.num_vertices(), dense.num_vertices());
-    EXPECT_EQ(packed.num_edges(), dense.num_edges());
-    EXPECT_LE(packed.arena_words(), dense.arena_words());
-    for (std::size_t v = 0; v < n; ++v) {
-      EXPECT_EQ(packed.degree(v), dense.degree(v));
-      EXPECT_EQ(packed.neighbors(v), dense.neighbors(v));
-      EXPECT_EQ(packed.row(v).to_bitset(), dense.row(v).to_bitset());
-      for (std::size_t u = 0; u < n; ++u) {
-        EXPECT_EQ(packed.adjacent(v, u), dense.adjacent(v, u));
-      }
-    }
-  }
-}
-
-TEST(UndirectedGraphTest, RowViewOperationsMatchBitsetSemantics) {
-  std::mt19937_64 rng(3);
-  const std::size_t n = 150;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  const UndirectedGraph dense = random_dense(n, rng, &edges);
-  const UndirectedGraph g(n, edges);
-
-  DynBitset mask(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rng() % 2 == 0) mask.set(i);
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    const DynBitset row = g.row(v).to_bitset();
-    EXPECT_EQ(g.row(v).count(), row.count());
-    EXPECT_EQ(g.row(v).any(), row.any());
-    EXPECT_EQ(g.row(v).intersects(mask), row.intersects(mask));
-    EXPECT_EQ(g.row(v).subset_of(mask), row.subset_of(mask));
-
-    DynBitset and_got = mask;
-    g.row(v).and_into(and_got);
-    DynBitset and_want = mask;
-    and_want &= row;
-    EXPECT_EQ(and_got, and_want);
-
-    DynBitset or_got = mask;
-    g.row(v).or_into(or_got);
-    DynBitset or_want = mask;
-    or_want |= row;
-    EXPECT_EQ(or_got, or_want);
-
-    for (std::size_t u = 0; u < n; ++u) {
-      EXPECT_EQ(g.row(v).intersects(g.row(u)),
-                row.intersects(g.row(u).to_bitset()));
-    }
-  }
-}
-
-TEST(UndirectedGraphTest, IsolatedVerticesInBulkConstruction) {
-  // Vertices 0 and 4 have no edges: their windows are empty.
-  const UndirectedGraph g(
-      5, {{1, 2}, {2, 3}});
-  EXPECT_EQ(g.degree(0), 0u);
-  EXPECT_EQ(g.degree(4), 0u);
-  EXPECT_FALSE(g.row(0).any());
-  EXPECT_TRUE(g.adjacent(1, 2));
-  EXPECT_FALSE(g.adjacent(0, 1));
-  EXPECT_EQ(g.num_edges(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Incremental PEO vs the reference greedy scan
 
@@ -230,8 +125,8 @@ std::optional<std::vector<std::size_t>> reference_peo(
   return order;
 }
 
-/// Random live intervals (birth, death] and their intersection graph —
-/// guaranteed chordal, the binder's actual shape.
+/// Random live intervals (birth, death]: their `interval_graph` is chordal,
+/// the binder's actual shape.
 std::vector<LiveInterval> random_intervals(std::size_t n,
                                            std::mt19937_64& rng) {
   std::vector<LiveInterval> iv(n);
@@ -240,19 +135,6 @@ std::vector<LiveInterval> random_intervals(std::size_t n,
     death = birth + 1 + static_cast<int>(rng() % 10);
   }
   return iv;
-}
-
-UndirectedGraph interval_graph(const std::vector<LiveInterval>& iv) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  for (std::size_t a = 0; a < iv.size(); ++a) {
-    for (std::size_t b = a + 1; b < iv.size(); ++b) {
-      if (iv[a].overlaps(iv[b])) {
-        edges.emplace_back(static_cast<std::uint32_t>(a),
-                           static_cast<std::uint32_t>(b));
-      }
-    }
-  }
-  return UndirectedGraph(iv.size(), edges);
 }
 
 TEST(ChordalTest, IncrementalPeoMatchesReferenceOnIntervalGraphs) {
