@@ -13,7 +13,9 @@
 // row also carries "work", which the gate compares exactly: the binder's
 // register fit tests and the greedy BIST allocator's embeddings in the
 // large tier, the branch-and-bound states kept and pruned in the exact
-// tier.
+// tier.  Large-tier rows also carry peak_rss_mb, the process VmHWM after
+// the row, which the gate holds to the wall_ms tolerance: the rows run
+// smallest first, so each reads its own peak.
 //
 // Flags (ours, stripped before google-benchmark sees argv):
 //   --scaling-only   run only the large and exact tiers + JSON artifact
@@ -27,7 +29,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <string>
@@ -142,6 +146,18 @@ std::vector<double> time_syntheses(const SynthesisOptions& so, const Dfg& dfg,
   return samples;
 }
 
+/// Peak resident set (VmHWM) of this process, in MB; 0 without /proc.
+double peak_rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
 double median_of(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
@@ -168,7 +184,8 @@ Json count_work(const SynthesisOptions& so, const Dfg& dfg,
 
 void run_large_tier(const std::vector<int>& sizes,
                     benchjson::BenchJson& bj) {
-  TextTable t({"ops", "#vars", "#regs", "#mux", "%BIST", "wall ms"});
+  TextTable t(
+      {"ops", "#vars", "#regs", "#mux", "%BIST", "wall ms", "peak MB"});
   t.set_title("Large tier — full BIST-aware synthesis (CI perf gate)");
 
   for (int ops : sizes) {
@@ -186,11 +203,13 @@ void run_large_tier(const std::vector<int>& sizes,
     Json work =
         count_work(so, rd.dfg, rd.schedule, protos,
                    {"binding.registers_scanned", "bist.embeddings_scanned"});
+    const double peak_mb = peak_rss_mb();
 
     t.add_row({std::to_string(ops), std::to_string(rd.dfg.num_vars()),
                std::to_string(res.num_registers()),
                std::to_string(res.num_mux()),
-               fmt_double(res.overhead_percent), fmt_double(ms, 1)});
+               fmt_double(res.overhead_percent), fmt_double(ms, 1),
+               fmt_double(peak_mb, 1)});
     // Progress to stderr: CI logs show where a slow run is, row by row.
     std::cerr << "large tier: " << ops << " ops -> " << fmt_double(ms, 1)
               << " ms (" << res.num_registers() << " regs)" << std::endl;
@@ -206,6 +225,7 @@ void run_large_tier(const std::vector<int>& sizes,
                                static_cast<std::int64_t>(res.num_mux())))
                .set("overhead_pct", Json::number(res.overhead_percent))
                .set("wall_ms", Json::number(ms))
+               .set("peak_rss_mb", Json::number(peak_mb))
                .set("work", std::move(work)));
   }
   std::cout << t << std::endl;

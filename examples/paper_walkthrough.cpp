@@ -63,9 +63,9 @@ int main() {
   std::cout << "=== Lemma 2: forced CBILBOs per binding ===\n";
   auto rb_trad = bind_registers_traditional(dfg, cg, lt);
   std::cout << "  testable binding:    "
-            << forced_cbilbos(dfg, mb, rb).size() << " forced CBILBO(s)\n";
+            << forced_cbilbos(mb, rb.reg_of).size() << " forced CBILBO(s)\n";
   std::cout << "  left-edge binding:   "
-            << forced_cbilbos(dfg, mb, rb_trad).size()
+            << forced_cbilbos(mb, rb_trad.reg_of).size()
             << " forced CBILBO(s) — " << rb_trad.to_string(dfg) << "\n\n";
 
   std::cout << "=== the resulting data paths (paper Fig. 5) ===\n";

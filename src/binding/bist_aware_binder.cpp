@@ -17,28 +17,13 @@ namespace lbist {
 
 namespace {
 
-/// Sharing and connectivity state the binder keeps per register, beside
-/// the register file's members and intervals.
+/// Sharing state the binder keeps per register, beside the register
+/// file's members and intervals.
 struct RegState {
-  DynBitset share_mask;   ///< union of member sharing masks
-  DynBitset src_modules;  ///< modules (+external) writing into it
-  DynBitset dst_modules;  ///< modules reading from it
-  int sd = 0;             ///< SD(share_mask), cached
+  DynBitset share_mask;      ///< union of member sharing masks
+  int sd = 0;                ///< SD(share_mask), cached
+  bool holds_input = false;  ///< some member is a primary input
 };
-
-/// Per-variable connectivity footprint used by the interconnect tie-break.
-struct VarFootprint {
-  DynBitset src;  ///< defining module, or the external-input pseudo-module
-  DynBitset dst;  ///< consuming modules
-};
-
-/// Estimated new interconnect endpoints if v joins R: sources and
-/// destinations of v that R does not already have (Section IV's merge-case
-/// reasoning, used only to break ties).
-int interconnect_cost(const RegState& reg, const VarFootprint& fp) {
-  return static_cast<int>(fp.src.count_and_not(reg.src_modules) +
-                          fp.dst.count_and_not(reg.dst_modules));
-}
 
 }  // namespace
 
@@ -83,19 +68,6 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   }
   const std::vector<std::size_t> peo = interval_elimination_order(live, rank);
 
-  // --- per-variable connectivity footprints --------------------------------
-  std::vector<VarFootprint> fp(n, VarFootprint{DynBitset(m + 1),
-                                               DynBitset(m + 1)});
-  for (std::size_t v = 0; v < n; ++v) {
-    const Variable& var = dfg.var(cg.vars[v]);
-    if (var.def.valid()) {
-      fp[v].src.set(mb.module_of(var.def).index());
-    } else {
-      fp[v].src.set(m);  // external input
-    }
-    for (OpId use : var.uses) fp[v].dst.set(mb.module_of(use).index());
-  }
-
   // --- 2. Coloring in reverse PVES order (Section III.A.2, III.B) ---------
   RegisterFile file(dfg.num_vars());
   std::vector<RegState> regs;
@@ -111,8 +83,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   // r == regs.size() opens a register.
   auto assign = [&](std::size_t v, std::size_t r) {
     if (r == regs.size()) {
-      regs.push_back(
-          RegState{sa.empty_mask(), DynBitset(m + 1), DynBitset(m + 1), 0});
+      regs.push_back(RegState{sa.empty_mask()});
       slot.push_back(by_sd[0].size());
       by_sd[0].push_back(r);
       if (tracker.has_value()) tracker->add_register();
@@ -124,8 +95,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     reg.sd +=
         static_cast<int>(sa.mask(cg.vars[v]).count_and_not(reg.share_mask));
     reg.share_mask |= sa.mask(cg.vars[v]);
-    reg.src_modules |= fp[v].src;
-    reg.dst_modules |= fp[v].dst;
+    reg.holds_input = reg.holds_input || dfg.var(cg.vars[v]).is_input();
     if (tracker.has_value()) tracker->assign(cg.vars[v], r);
     if (reg.sd != old_sd) {  // move r up to its new bucket
       auto& from = by_sd[static_cast<std::size_t>(old_sd)];
@@ -138,11 +108,9 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     }
   };
 
-  // Register-indexed scratch: ΔSD and tie-break interconnect cost of each
-  // register that fits the current variable.  A register count never
-  // exceeds n.
+  // Register-indexed scratch: ΔSD of each register that fits the current
+  // variable.  A register count never exceeds n.
   std::vector<int> dsd(n);
-  std::vector<int> icost(n);
   std::vector<std::size_t> feasible;
   feasible.reserve(n);
   std::uint64_t scanned = 0;  // fit tests, published once per run
@@ -155,6 +123,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   for (std::size_t v : peo | std::views::reverse) {
     const VarId var = cg.vars[v];
     const DynBitset& vmask = sa.mask(var);
+    const bool is_input = dfg.var(var).is_input();
 
     // Each register holds at most one variable live at a step, so when the
     // most crowded step of v's interval holds one per register, none fits.
@@ -167,16 +136,15 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
       continue;
     }
 
-    // Fit test, then ΔSD and tie-break cost for a register that fits.  ΔSD
-    // is the word-parallel |mask(v) \ share_mask(R)| — no merged mask is
-    // built, and SD(R) itself is cached on the register.  True iff r fits.
+    // Fit test, then ΔSD for a register that fits: the word-parallel
+    // |mask(v) \ share_mask(R)| — no merged mask is built, and SD(R) itself
+    // is cached on the register.  True iff r fits.
     feasible.clear();
     auto visit = [&](std::size_t r) {
       ++scanned;
       if (!file.fits(r, live[v])) return false;
       feasible.push_back(r);
       dsd[r] = static_cast<int>(vmask.count_and_not(regs[r].share_mask));
-      icost[r] = interconnect_cost(regs[r], fp[v]);
       return true;
     };
     // Not scanned yet: registers from `next` on in index order, buckets
@@ -206,11 +174,16 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     LBIST_CHECK(!feasible.empty(), "no register fits below the live peak");
 
     // Preference: larger ΔSD, then larger SD(R), then cheaper interconnect,
-    // then lower index.
+    // then lower index.  v's new interconnect endpoints in R (Section IV's
+    // merge-case reasoning) are the consumers and the defining module that
+    // R lacks, which is ΔSD, plus a source for a primary input unless R
+    // already holds one: at equal ΔSD only that last term differs.
     auto better = [&](std::size_t a, std::size_t b) {
       if (dsd[a] != dsd[b]) return dsd[a] > dsd[b];
       if (regs[a].sd != regs[b].sd) return regs[a].sd > regs[b].sd;
-      if (icost[a] != icost[b]) return icost[a] < icost[b];
+      if (is_input && regs[a].holds_input != regs[b].holds_input) {
+        return regs[a].holds_input;
+      }
       return a < b;
     };
 
@@ -337,7 +310,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   // finished register contents) so cbilbo.forced mirrors what the BIST
   // allocator will be confronted with.
   if (events != nullptr) {
-    for (const ForcedCbilbo& f : forced_cbilbos(dfg, mb, file.binding())) {
+    for (const ForcedCbilbo& f : forced_cbilbos(mb, file.binding().reg_of)) {
       events->cbilbo_forced(f.reg.index(), f.module.index(), f.lemma_case);
     }
   }

@@ -11,7 +11,8 @@
 //  2. `delta_sd_rule`    — among non-conflicting registers, assign the
 //     vertex to the register with the largest sharing-degree increase
 //     ΔSD^v(R); ties broken by larger SD(R), then by an interconnect-cost
-//     estimate (Section III.A.2).
+//     estimate (Section III.A.2).  At equal ΔSD that estimate differs only
+//     for a primary input, which prefers a register already holding one.
 //  3. `case_overrides`   — Case 1 / Case 2: when another register already
 //     holds an output variable (resp. a pair of registers already holds
 //     operand variables) of a module of v and has a final sharing degree

@@ -15,15 +15,16 @@
 // Lemma 1 (|OR_k| <= 2 whenever a CBILBO is forced) is implied: three or
 // more output registers always leave a non-TPG SA choice.
 //
-// The checker works on register variable-masks so the BIST-aware binder can
-// query it incrementally on partial bindings.
+// The checker reads the variable -> register map, in which an unplaced
+// variable is invalid, so the BIST-aware binder's tests can query it on
+// partial bindings.  Each variable lives in at most one register, so each
+// module needs one pass over its outputs (in one or two registers, all
+// placed) and its instances, whose operand lists hold at most two
+// variables.
 
 #include <vector>
 
 #include "binding/module_binding.hpp"
-#include "binding/register_binding.hpp"
-#include "dfg/dfg.hpp"
-#include "support/dyn_bitset.hpp"
 #include "support/ids.hpp"
 
 namespace lbist {
@@ -36,15 +37,12 @@ struct ForcedCbilbo {
   RegId partner;       ///< the R_y of case (ii); invalid for case (i)
 };
 
-/// Evaluates Lemma 2 over a (possibly partial) binding given as one
-/// variable-mask per register.  Returns every (register, module) pair where
-/// the conditions hold.  A case-(ii) pair is reported once, as the
-/// lower-indexed register with `partner` set.
+/// Evaluates Lemma 2 over a (possibly partial) binding given as each
+/// variable's register, invalid where the variable is not placed.  Returns
+/// every (register, module) pair where the conditions hold, in module
+/// order.  A case-(ii) pair is reported once, as the lower-indexed
+/// register with `partner` set.
 [[nodiscard]] std::vector<ForcedCbilbo> forced_cbilbos(
-    const ModuleBinding& mb, const std::vector<DynBitset>& reg_masks);
-
-/// Convenience overload for a complete RegisterBinding.
-[[nodiscard]] std::vector<ForcedCbilbo> forced_cbilbos(
-    const Dfg& dfg, const ModuleBinding& mb, const RegisterBinding& rb);
+    const ModuleBinding& mb, const IdMap<VarId, RegId>& reg_of);
 
 }  // namespace lbist

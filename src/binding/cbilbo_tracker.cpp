@@ -20,7 +20,7 @@ CbilboTracker::CbilboTracker(const Dfg& dfg, const ModuleBinding& mb) {
 
     bool instances_coverable = true;
     for (std::uint32_t j = 0; j < s.tm; ++j) {
-      if (!mb.instance_operands(m, j).any()) {
+      if (mb.instance_operands(m, j).empty()) {
         instances_coverable = false;
         break;
       }
@@ -32,10 +32,11 @@ CbilboTracker::CbilboTracker(const Dfg& dfg, const ModuleBinding& mb) {
       out_module_[v] = static_cast<std::int32_t>(mi);
     });
     for (std::uint32_t j = 0; j < s.tm; ++j) {
-      mb.instance_operands(m, j).for_each_set_bit([&](std::size_t v) {
-        uses_[v].emplace_back(static_cast<std::uint32_t>(mi), j);
-      });
+      for (VarId v : mb.instance_operands(m, j)) {
+        uses_[v.index()].emplace_back(static_cast<std::uint32_t>(mi), j);
+      }
     }
+    s.holders.assign(s.tm, {kNoReg, kNoReg});
   }
 }
 
@@ -44,7 +45,6 @@ std::size_t CbilboTracker::add_register() {
     if (!s.eligible) continue;
     s.outcnt.push_back(0);
     s.covcnt.push_back(0);
-    s.covered.emplace_back(s.tm);
   }
   return num_regs_++;
 }
@@ -91,7 +91,7 @@ int CbilboTracker::delta_if_assigned(VarId v, std::size_t r) const {
         std::uint32_t newly = 0;
         for (const auto& [m2, j] : uses_[v.index()]) {
           if (m2 != mi) continue;
-          if (r >= s.covered.size() || !s.covered[r].test(j)) ++newly;
+          if (!covered(s, j, r)) ++newly;
         }
         auto covers = [&](std::uint32_t x) {
           const std::uint32_t base = x < s.covcnt.size() ? s.covcnt[x] : 0;
@@ -123,11 +123,12 @@ void CbilboTracker::assign(VarId v, std::size_t r) {
       }
     }
     for (const auto& [m2, j] : uses_[v.index()]) {
-      if (m2 != mi) continue;
-      if (!s.covered[r].test(j)) {
-        s.covered[r].set(j);
-        ++s.covcnt[r];
-      }
+      if (m2 != mi || covered(s, j, r)) continue;
+      // At most two distinct operands, each in one register.
+      std::uint32_t& slot = s.holders[j][0] == kNoReg ? s.holders[j][0]
+                                                      : s.holders[j][1];
+      slot = static_cast<std::uint32_t>(r);
+      ++s.covcnt[r];
     }
 
     s.forced = forced_now(s);

@@ -4,33 +4,37 @@
 // The binder needs, at every coloring step and for every candidate
 // register, the number of forced CBILBOs the partial binding would have if
 // variable v joined register R.  Recomputing `forced_cbilbos()` from
-// scratch per candidate is O(modules × registers² × mask words) and
-// dominated binding time beyond a few hundred variables.
+// scratch per candidate costs a pass over every module's outputs and
+// instances, and dominated binding time beyond a few hundred variables.
 //
 // This tracker exploits two structural facts to answer the same query in
 // O(uses of v) time:
 //
-//   1. Register variable-masks are disjoint (each variable lives in at most
-//      one register), so |O_m ∩ mask_x| is a simple per-register counter
-//      and "the outputs of m are split across registers X" is equivalent to
-//      "every output of m is assigned and exactly the registers in X have a
-//      nonzero output count".
+//   1. Each variable lives in at most one register, so |O_m ∩ R_x| is a
+//      simple per-register counter and "the outputs of m are split across
+//      registers X" is equivalent to "every output of m is assigned and
+//      exactly the registers in X have a nonzero output count".
 //   2. Lemma 2 can therefore fire at most once per module: case (i) needs
 //      ONE register holding all outputs, case (ii) exactly TWO.  The
 //      per-module forced state is a boolean recomputable in O(1) from the
 //      counters, and only modules that have v as an operand or output can
 //      change when v is placed.
 //
-// `current()` and `delta_if_assigned()` match `forced_cbilbos(mb, masks)
+// Coverage is kept per instance, not per register: an instance has at most
+// two distinct operands, so at most two registers hold its placed ones, and
+// "instance j is covered at R" means R is one of them.  Each register only
+// adds two counters per module: its outputs of m and its covered instances.
+//
+// `current()` and `delta_if_assigned()` match `forced_cbilbos(mb, reg_of)
 // .size()` exactly — the fuzz oracle and binding tests assert this.
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "binding/module_binding.hpp"
 #include "dfg/dfg.hpp"
-#include "support/dyn_bitset.hpp"
 #include "support/ids.hpp"
 
 namespace lbist {
@@ -64,11 +68,21 @@ class CbilboTracker {
     std::uint32_t total_out = 0;     ///< |O_m| (allocatable outputs)
     std::uint32_t assigned_out = 0;  ///< outputs already placed
     std::uint32_t tm = 0;            ///< temporal multiplicity
-    std::vector<std::uint32_t> outcnt;   ///< per register: |O_m ∩ mask_r|
+    std::vector<std::uint32_t> outcnt;   ///< per register: |O_m ∩ R_r|
     std::vector<std::uint32_t> covcnt;   ///< per register: #instances covered
-    std::vector<DynBitset> covered;      ///< per register: covered instances
+    /// Per instance: the registers holding its placed operands, kNoReg
+    /// where there is none yet.
+    std::vector<std::array<std::uint32_t, 2>> holders;
     std::vector<std::uint32_t> outregs;  ///< registers with outcnt >= 1
   };
+
+  static constexpr std::uint32_t kNoReg = UINT32_MAX;
+
+  /// True if instance j of module state `s` is covered at register r.
+  [[nodiscard]] static bool covered(const ModuleState& s, std::uint32_t j,
+                                    std::size_t r) {
+    return s.holders[j][0] == r || s.holders[j][1] == r;
+  }
 
   /// Lemma-2 verdict from the counters alone.
   [[nodiscard]] static bool forced_now(const ModuleState& s);

@@ -143,19 +143,22 @@ void ModuleBinding::build_derived_sets(const Dfg& dfg) {
   output_vars_.assign(protos_.size(), DynBitset(dfg.num_vars()));
   instance_operands_.assign(protos_.size(), {});
   for (std::size_t m = 0; m < protos_.size(); ++m) {
+    instance_operands_[m].reserve(instances_[m].size());
     for (OpId opid : instances_[m]) {
       const Operation& op = dfg.op(opid);
-      DynBitset operands(dfg.num_vars());
+      Operands operands;
       for (VarId v : {op.lhs, op.rhs}) {
         if (allocatable(v)) {
           input_vars_[m].set(v.index());
-          operands.set(v.index());
+          if (operands.count == 0 || operands.vars[0] != v) {
+            operands.vars[operands.count++] = v;
+          }
         }
       }
       if (allocatable(op.result)) {
         output_vars_[m].set(op.result.index());
       }
-      instance_operands_[m].push_back(std::move(operands));
+      instance_operands_[m].push_back(operands);
     }
   }
 }

@@ -12,8 +12,12 @@
 // It also materializes the derived sets the register binder consumes:
 // the input/output variable sets I_M / O_M (Definition 3), the per-instance
 // operand sets I^j_M used by the CBILBO conditions (Lemma 2), and the
-// temporal multiplicity TM(M) (Definition 2).
+// temporal multiplicity TM(M) (Definition 2).  Every operator is binary, so
+// each I^j_M is a list of at most two variables, not a set over all of them.
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,10 +72,12 @@ class ModuleBinding {
   [[nodiscard]] const DynBitset& output_vars(ModuleId m) const {
     return output_vars_[m.index()];
   }
-  /// I^j_M: allocatable operands of instance j of module m (Lemma 2 input).
-  [[nodiscard]] const DynBitset& instance_operands(ModuleId m,
-                                                   std::size_t j) const {
-    return instance_operands_[m.index()][j];
+  /// I^j_M: the at most two distinct allocatable operands of instance j
+  /// of module m (Lemma 2 input); a repeated operand x∘x appears once.
+  [[nodiscard]] std::span<const VarId> instance_operands(
+      ModuleId m, std::size_t j) const {
+    const Operands& ops = instance_operands_[m.index()][j];
+    return {ops.vars.data(), ops.count};
   }
 
   /// Display name for module m, e.g. "M1(+)".
@@ -84,12 +90,18 @@ class ModuleBinding {
   /// lists (shared tail of bind() and restore()).
   void build_derived_sets(const Dfg& dfg);
 
+  /// One instance's operands: `vars[0, count)`.
+  struct Operands {
+    std::array<VarId, 2> vars;
+    std::uint8_t count = 0;
+  };
+
   std::vector<ModuleProto> protos_;
   IdMap<OpId, ModuleId> module_of_;
   std::vector<std::vector<OpId>> instances_;
   std::vector<DynBitset> input_vars_;
   std::vector<DynBitset> output_vars_;
-  std::vector<std::vector<DynBitset>> instance_operands_;
+  std::vector<std::vector<Operands>> instance_operands_;
 };
 
 }  // namespace lbist

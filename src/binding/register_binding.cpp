@@ -6,23 +6,6 @@
 
 namespace lbist {
 
-DynBitset RegisterBinding::var_mask(RegId r, std::size_t num_vars) const {
-  DynBitset m(num_vars);
-  for (VarId v : regs[r.index()]) m.set(v.index());
-  return m;
-}
-
-std::vector<DynBitset> RegisterBinding::all_var_masks(
-    std::size_t num_vars) const {
-  std::vector<DynBitset> out;
-  out.reserve(regs.size());
-  for (std::size_t r = 0; r < regs.size(); ++r) {
-    out.push_back(var_mask(RegId{static_cast<RegId::value_type>(r)},
-                           num_vars));
-  }
-  return out;
-}
-
 void RegisterBinding::validate(
     const Dfg& dfg, const IdMap<VarId, LiveInterval>& lifetimes) const {
   for (const auto& v : dfg.vars()) {

@@ -10,7 +10,6 @@
 #include "dfg/dfg.hpp"
 #include "dfg/lifetime.hpp"
 #include "graph/interval.hpp"
-#include "support/dyn_bitset.hpp"
 #include "support/ids.hpp"
 
 namespace lbist {
@@ -23,13 +22,6 @@ struct RegisterBinding {
   IdMap<VarId, RegId> reg_of;
 
   [[nodiscard]] std::size_t num_regs() const { return regs.size(); }
-
-  /// Bitset over VarId of the variables in register r.
-  [[nodiscard]] DynBitset var_mask(RegId r, std::size_t num_vars) const;
-
-  /// All registers' variable masks (index = register).
-  [[nodiscard]] std::vector<DynBitset> all_var_masks(
-      std::size_t num_vars) const;
 
   /// Throws lbist::Error if two variables in one register conflict or some
   /// allocatable variable is unassigned.

@@ -339,15 +339,14 @@ class OracleRun {
     expect_num("bist_overhead_percent", result.overhead_percent);
   }
 
-  /// The binder's emitted cbilbo_forced event stream agrees with an
-  /// independent Lemma-2 evaluation of the finished binding (the binder
-  /// derives its events from register *masks* mid-run; cbilbo_check's
-  /// dfg/rb overload rederives everything from the materialized binding —
-  /// the two must name the same forced modules).
+  /// The binder's emitted cbilbo_forced event stream agrees with a
+  /// Lemma-2 evaluation of the binding the synthesis result holds (the
+  /// binder evaluates its own register file before handing the binding
+  /// over — the two must name the same forced modules).
   void check_events(const AlgorithmEvents& events,
                     const SynthesisResult& result) {
     const auto independent =
-        forced_cbilbos(dfg_, result.modules, result.registers);
+        forced_cbilbos(result.modules, result.registers.reg_of);
     std::vector<std::size_t> reported;
     for (const AlgorithmEvent& ev : events.snapshot()) {
       if (ev.kind != "cbilbo_forced") continue;
@@ -474,7 +473,8 @@ class OracleRun {
     }
     if (combos > opts_.lemma2_budget) return;  // exhaustive oracle gated
 
-    const auto lemma = forced_cbilbos(dfg_, result.modules, result.registers);
+    const auto lemma =
+        forced_cbilbos(result.modules, result.registers.reg_of);
     for (std::size_t m = 0; m < dp.modules.size(); ++m) {
       bool clean = true;
       for (OpId opid : result.modules.instances(

@@ -122,21 +122,19 @@ PortAssignment assign_ports(std::size_t num_regs,
       promote = clash.a;
     } else {
       std::vector<std::size_t> candidates{clash.a, clash.b};
-      auto constrained_against = [&](std::size_t r, std::size_t other) {
-        for (const auto& c : constraints) {
-          if ((c.lhs_reg == r && c.rhs_reg == other) ||
-              (c.lhs_reg == other && c.rhs_reg == r)) {
-            return true;
-          }
+      // One pass marks the registers constrained against clash.a (bit 0)
+      // and clash.b (bit 1).
+      std::vector<unsigned char> against(num_regs, 0);
+      for (const auto& c : constraints) {
+        for (auto [r, other] : {std::pair{c.lhs_reg, c.rhs_reg},
+                                std::pair{c.rhs_reg, c.lhs_reg}}) {
+          if (other == clash.a) against[r] |= 1;
+          if (other == clash.b) against[r] |= 2;
         }
-        return false;
-      };
+      }
       for (std::size_t r = 0; r < num_regs; ++r) {
         if (r == clash.a || r == clash.b || forced_both[r]) continue;
-        if (constrained_against(r, clash.a) &&
-            constrained_against(r, clash.b)) {
-          candidates.push_back(r);
-        }
+        if (against[r] == 3) candidates.push_back(r);
       }
       promote = candidates.front();
       for (std::size_t r : candidates) {

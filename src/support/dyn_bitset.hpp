@@ -1,7 +1,7 @@
 #pragma once
 // Fixed-capacity dynamic bitset over 64-bit words.  Used for adjacency rows
-// of conflict/compatibility graphs, register variable-masks and sharing
-// masks.  Designs now reach 10k-100k operations, so every operation that
+// of conflict/compatibility graphs, module variable sets and sharing masks.
+// Designs now reach 10k-100k operations, so every operation that
 // used to walk bits walks words: membership iteration uses countr_zero,
 // and the combined count/intersection queries (count_and_not,
 // intersect_count) exist so hot paths never materialize a merged set.
@@ -14,7 +14,7 @@
 namespace lbist {
 
 /// A set of small integers [0, size) with constant-time membership and
-/// word-parallel intersection/subset queries.
+/// word-parallel intersection queries.
 class DynBitset {
  public:
   DynBitset() = default;
@@ -52,25 +52,6 @@ class DynBitset {
       if (w != 0) return true;
     }
     return false;
-  }
-
-  /// True if this set intersects `other`.
-  [[nodiscard]] bool intersects(const DynBitset& other) const {
-    const std::size_t n = std::min(words_.size(), other.words_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (words_[i] & other.words_[i]) return true;
-    }
-    return false;
-  }
-
-  /// True if every member of this set is also in `other`.
-  [[nodiscard]] bool subset_of(const DynBitset& other) const {
-    const std::size_t n = words_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t ow = i < other.words_.size() ? other.words_[i] : 0;
-      if (words_[i] & ~ow) return false;
-    }
-    return true;
   }
 
   /// |this ∩ other| without materializing the intersection.

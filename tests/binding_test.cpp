@@ -15,6 +15,7 @@
 #include "binding/traditional_binder.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/lifetime.hpp"
+#include "dfg/parse.hpp"
 #include "dfg/random_dfg.hpp"
 #include "fuzz/reference.hpp"
 #include "graph/chordal.hpp"
@@ -36,6 +37,19 @@ struct Ex1 {
                                          parse_module_spec("1+,1*"));
   VarId v(const char* name) const {
     return *bench.design.dfg.find_var(name);
+  }
+  /// A partial binding: register r holds the variables in regs[r], every
+  /// other variable is unplaced.
+  IdMap<VarId, RegId> place(
+      const std::vector<std::vector<const char*>>& regs) const {
+    IdMap<VarId, RegId> reg_of(bench.design.dfg.num_vars(),
+                               RegId::invalid());
+    for (std::size_t r = 0; r < regs.size(); ++r) {
+      for (const char* name : regs[r]) {
+        reg_of[v(name)] = RegId{static_cast<RegId::value_type>(r)};
+      }
+    }
+    return reg_of;
   }
 };
 
@@ -98,13 +112,35 @@ TEST(ModuleBinding, Ex1SetsMatchPaper) {
 TEST(ModuleBinding, InstanceOperandsArePerInstance) {
   Ex1 f;
   // add1 reads {a,b}; add2 reads {c,d}.
-  const auto& j0 = f.mb.instance_operands(ModuleId{0}, 0);
-  EXPECT_TRUE(j0.test(f.v("a").index()));
-  EXPECT_TRUE(j0.test(f.v("b").index()));
-  EXPECT_EQ(j0.count(), 2u);
-  const auto& j1 = f.mb.instance_operands(ModuleId{0}, 1);
-  EXPECT_TRUE(j1.test(f.v("c").index()));
-  EXPECT_TRUE(j1.test(f.v("d").index()));
+  const auto j0 = f.mb.instance_operands(ModuleId{0}, 0);
+  EXPECT_EQ(std::vector<VarId>(j0.begin(), j0.end()),
+            (std::vector<VarId>{f.v("a"), f.v("b")}));
+  const auto j1 = f.mb.instance_operands(ModuleId{0}, 1);
+  EXPECT_EQ(std::vector<VarId>(j1.begin(), j1.end()),
+            (std::vector<VarId>{f.v("c"), f.v("d")}));
+}
+
+TEST(ModuleBinding, RepeatedOperandIsListedOnce) {
+  // x*x has one operand; add reads the port-resident p, which no register
+  // holds, and y.
+  const ParsedDfg pd = parse_dfg(
+      "dfg square\n"
+      "input x\n"
+      "portinput p\n"
+      "op sq * x x -> y @1\n"
+      "op add + p y -> z @2\n"
+      "output z\n");
+  const Dfg& dfg = pd.dfg;
+  const ModuleBinding mb =
+      ModuleBinding::bind(dfg, *pd.schedule, parse_module_spec("1*,1+"));
+  const VarId x = *dfg.find_var("x");
+  const VarId y = *dfg.find_var("y");
+  const auto sq = mb.instance_operands(ModuleId{0}, 0);
+  EXPECT_EQ(std::vector<VarId>(sq.begin(), sq.end()), std::vector<VarId>{x});
+  const auto add = mb.instance_operands(ModuleId{1}, 0);
+  EXPECT_EQ(std::vector<VarId>(add.begin(), add.end()),
+            std::vector<VarId>{y});
+  EXPECT_EQ(mb.input_vars(ModuleId{0}).count(), 1u);
 }
 
 TEST(ModuleBinding, ThrowsWhenSpecTooSmall) {
@@ -154,16 +190,10 @@ TEST(Sharing, RegisterSdIsUnionNotSum) {
 
 TEST(CbilboCheck, CaseOneFires) {
   Ex1 f;
-  const Dfg& dfg = f.bench.design.dfg;
   // Put the multiplier's outputs {g, h} AND an operand of every multiplier
   // instance into one register.  mul1 reads {e,f}, mul2 reads {d,g}.
   // R0 = {g, h, e}: holds all outputs, g covers mul2, e covers mul1.
-  std::vector<DynBitset> masks(2, DynBitset(dfg.num_vars()));
-  masks[0].set(f.v("g").index());
-  masks[0].set(f.v("h").index());
-  masks[0].set(f.v("e").index());
-  masks[1].set(f.v("a").index());
-  auto forced = forced_cbilbos(f.mb, masks);
+  auto forced = forced_cbilbos(f.mb, f.place({{"g", "h", "e"}, {"a"}}));
   ASSERT_EQ(forced.size(), 1u);
   EXPECT_EQ(forced[0].reg, RegId{0});
   EXPECT_EQ(forced[0].module, ModuleId{1});
@@ -172,33 +202,29 @@ TEST(CbilboCheck, CaseOneFires) {
 
 TEST(CbilboCheck, CaseTwoFiresSymmetrically) {
   Ex1 f;
-  const Dfg& dfg = f.bench.design.dfg;
   // Outputs of M2 split: g in R0, h in R1; both registers hold an operand
-  // of every instance of M2 (mul1 reads {e,f}, mul2 reads {d,g}).
-  std::vector<DynBitset> masks(2, DynBitset(dfg.num_vars()));
-  masks[0].set(f.v("g").index());  // covers mul2
-  masks[0].set(f.v("e").index());  // covers mul1
-  masks[1].set(f.v("h").index());
-  masks[1].set(f.v("f").index());  // covers mul1
-  masks[1].set(f.v("d").index());  // covers mul2
-  auto forced = forced_cbilbos(f.mb, masks);
-  ASSERT_EQ(forced.size(), 1u);
-  EXPECT_EQ(forced[0].lemma_case, 2);
-  EXPECT_EQ(forced[0].reg, RegId{0});
-  EXPECT_EQ(forced[0].partner, RegId{1});
+  // of every instance of M2 (mul1 reads {e,f}, mul2 reads {d,g}): g and e
+  // cover mul2 and mul1 at R0, d and f at R1.
+  for (const bool swapped : {false, true}) {
+    std::vector<std::vector<const char*>> regs = {{"g", "e"},
+                                                  {"h", "f", "d"}};
+    if (swapped) std::swap(regs[0], regs[1]);
+    auto forced = forced_cbilbos(f.mb, f.place(regs));
+    ASSERT_EQ(forced.size(), 1u);
+    EXPECT_EQ(forced[0].lemma_case, 2);
+    EXPECT_EQ(forced[0].reg, RegId{0});
+    EXPECT_EQ(forced[0].partner, RegId{1});
+  }
 }
 
 TEST(CbilboCheck, NoForcingWithFreeSaChoice) {
   Ex1 f;
-  const Dfg& dfg = f.bench.design.dfg;
   // Outputs split across two registers but the second register holds no
   // operand of mul1 -> a CBILBO-free embedding exists.
-  std::vector<DynBitset> masks(2, DynBitset(dfg.num_vars()));
-  masks[0].set(f.v("g").index());
-  masks[0].set(f.v("e").index());
-  masks[1].set(f.v("h").index());  // no operands at all
-  auto forced = forced_cbilbos(f.mb, masks);
-  EXPECT_TRUE(forced.empty());
+  EXPECT_TRUE(forced_cbilbos(f.mb, f.place({{"g", "e"}, {"h"}})).empty());
+  // An output not placed yet decides nothing: R0 would be case (i) once h
+  // joins it.
+  EXPECT_TRUE(forced_cbilbos(f.mb, f.place({{"g", "e"}})).empty());
 }
 
 TEST(TraditionalBinder, MinimumRegistersOnAllBenchmarks) {
@@ -233,7 +259,7 @@ TEST(BistAwareBinder, NoForcedCbilboOnEx1) {
   auto rb = bind_registers_bist_aware(f.bench.design.dfg, f.cg, f.mb);
   rb.validate(f.bench.design.dfg, f.lt);
   // The testable binding of ex1 admits a CBILBO-free Lemma-2 profile.
-  EXPECT_TRUE(forced_cbilbos(f.bench.design.dfg, f.mb, rb).empty());
+  EXPECT_TRUE(forced_cbilbos(f.mb, rb.reg_of).empty());
 }
 
 TEST(BistAwareBinder, TraceExplainsDecisions) {
@@ -330,6 +356,22 @@ TEST(BistAwareBinder, MatchesFullScanReference) {
           *bench.design.schedule, parse_module_spec(bench.module_spec),
           LifetimeOptions{held}, all, /*recorded=*/true);
     }
+  }
+  // A primary input choosing between registers of equal ΔSD and SD(R):
+  // the interconnect tie-break prefers one that already holds an input.
+  // Minimized from the fuzz case of seed 10380007559642459292, width 2.
+  const ParsedDfg tie = parse_dfg(
+      "dfg input_tie_break\n"
+      "input in0 in4 t3 t5 t6\n"
+      "op and8 & t5 t6 -> t8 @1\n"
+      "op and9 & t6 t3 -> t9 @1\n"
+      "op sub11 - in4 in0 -> t11 @2\n"
+      "output t8 t9 t11\n");
+  for (const bool held : {true, false}) {
+    expect_matches_full_scan(
+        std::string("input tie-break") + (held ? " held" : " not held"),
+        tie.dfg, *tie.schedule, minimal_module_spec(tie.dfg, *tie.schedule),
+        LifetimeOptions{held}, all, /*recorded=*/true);
   }
   // The scaling tier's shape (bench/bench_scaling.cpp): the 2k design under
   // every option set, the others under the defaults.

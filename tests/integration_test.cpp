@@ -116,11 +116,10 @@ TEST(Lemma2Integration, TestableBindingAvoidsForcedCbilbos) {
   // Lemma-2 forced CBILBOs than the traditional binding.
   for (const auto& bench : paper_benchmarks()) {
     auto row = compare_benchmark(bench);
-    const auto& dfg = bench.design.dfg;
-    auto f_trad =
-        forced_cbilbos(dfg, row.traditional.modules, row.traditional.registers);
+    auto f_trad = forced_cbilbos(row.traditional.modules,
+                                 row.traditional.registers.reg_of);
     auto f_test =
-        forced_cbilbos(dfg, row.testable.modules, row.testable.registers);
+        forced_cbilbos(row.testable.modules, row.testable.registers.reg_of);
     EXPECT_LE(f_test.size(), f_trad.size()) << bench.name;
   }
 }

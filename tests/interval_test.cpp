@@ -73,7 +73,7 @@ void expect_matches_generic(const std::string& name, const UndirectedGraph& g,
     const std::size_t v = *it;
     std::size_t chosen = members.size();
     for (std::size_t r = 0; r < members.size(); ++r) {
-      const bool conflict = g.row(v).intersects(members[r]);
+      const bool conflict = g.row(v).intersect_count(members[r]) != 0;
       if (conflict != held[r].overlaps(iv[v])) ++mismatches;
       if (!conflict && chosen == members.size()) chosen = r;
     }

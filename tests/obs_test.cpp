@@ -431,8 +431,7 @@ TEST(ObsIntegration, Ex1SynthesisEmitsPaperDecisions) {
   EXPECT_GT(events.count("bist_role"), 0u);
 
   // cbilbo_forced must match an independent Lemma-2 evaluation.
-  const auto lemma =
-      forced_cbilbos(bench.design.dfg, result.modules, result.registers);
+  const auto lemma = forced_cbilbos(result.modules, result.registers.reg_of);
   EXPECT_EQ(events.count("cbilbo_forced"), lemma.size());
 
   // And the counter mirror saw the same totals.

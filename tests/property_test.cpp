@@ -75,7 +75,7 @@ TEST_P(RandomDesigns, Lemma2MatchesBruteForceOracle) {
   BuiltRandom b(commutative_opts(GetParam()));
   auto rb = bind_registers_traditional(b.rd.dfg, b.cg, b.lt);
   auto dp = build_datapath(b.rd.dfg, b.mb, rb);
-  auto lemma = forced_cbilbos(b.rd.dfg, b.mb, rb);
+  auto lemma = forced_cbilbos(b.mb, rb.reg_of);
 
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     // The lemma's setting: binary commutative modules where every instance

@@ -81,25 +81,6 @@ TEST(DynBitset, SetResetTest) {
   EXPECT_EQ(b.count(), 1u);
 }
 
-TEST(DynBitset, Intersects) {
-  DynBitset a(70), b(70);
-  a.set(69);
-  EXPECT_FALSE(a.intersects(b));
-  b.set(69);
-  EXPECT_TRUE(a.intersects(b));
-}
-
-TEST(DynBitset, SubsetOf) {
-  DynBitset a(10), b(10);
-  a.set(3);
-  b.set(3);
-  b.set(5);
-  EXPECT_TRUE(a.subset_of(b));
-  EXPECT_FALSE(b.subset_of(a));
-  DynBitset empty(10);
-  EXPECT_TRUE(empty.subset_of(a));
-}
-
 TEST(DynBitset, OrAndAssign) {
   DynBitset a(10), b(10);
   a.set(1);

@@ -22,6 +22,11 @@ A row may also carry "work": deterministic work counts such as
 each count present on both sides is compared exactly: any increase fails
 the gate, and a decrease is reported as a stale baseline.
 
+A row may also carry "peak_rss_mb", the process's peak resident set
+after the row.  When both sides have it, it is held to the same
+tolerance as the timing metric, so memory that grows with the square of
+the design fails the gate even when the time does not.
+
 Stdlib only; exit code 0 = pass, 1 = regression, 2 = usage/IO error.
 """
 
@@ -81,6 +86,20 @@ def compare_work(name, base_row, cur_row):
     return grew
 
 
+def compare_bounded(name, key, b, c, unit, lower, max_regression):
+    """Prints one comparison held to the tolerance; returns True if `c`
+    is worse than `b` by more than it."""
+    delta_pct = 100.0 * (c - b) / b
+    verdict = "ok"
+    if delta_pct > max_regression:
+        verdict = "FAIL"
+    elif delta_pct < -max_regression:
+        verdict = f"{lower} (stale baseline?)"
+    print(f"  [{verdict:>4}] {name}: {key} {b:.1f} -> {c:.1f} {unit} "
+          f"({delta_pct:+.1f}%)")
+    return verdict == "FAIL"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", required=True,
@@ -88,8 +107,8 @@ def main():
     ap.add_argument("--current", required=True,
                     help="freshly measured BENCH_*.json")
     ap.add_argument("--max-regression", type=float, default=25.0,
-                    help="max allowed wall-clock regression, percent "
-                         "(default: 25)")
+                    help="max allowed wall-clock and peak-memory "
+                         "regression, percent (default: 25)")
     args = ap.parse_args()
 
     base = load_rows(args.baseline)
@@ -102,6 +121,15 @@ def main():
             print(f"  [gone] {name}: in baseline only (not compared)")
             continue
         failures += compare_work(name, base[name], cur[name])
+        if "peak_rss_mb" in base[name] and "peak_rss_mb" in cur[name]:
+            b = float(base[name]["peak_rss_mb"])
+            c = float(cur[name]["peak_rss_mb"])
+            if b <= 0:
+                print(f"  [skip] {name}: non-positive baseline "
+                      f"peak_rss_mb={b}")
+            elif compare_bounded(name, "peak_rss_mb", b, c, "MB", "smaller",
+                                 args.max_regression):
+                failures.append(f"{name} peak_rss_mb")
         metric = pick_metric(base[name], cur[name])
         if metric is None:
             print(f"  [skip] {name}: no shared timing metric")
@@ -112,15 +140,9 @@ def main():
             print(f"  [skip] {name}: non-positive baseline {metric}={b}")
             continue
         compared += 1
-        delta_pct = 100.0 * (c - b) / b
-        verdict = "ok"
-        if delta_pct > args.max_regression:
-            verdict = "FAIL"
+        if compare_bounded(name, metric, b, c, "ms", "faster",
+                           args.max_regression):
             failures.append(name)
-        elif delta_pct < -args.max_regression:
-            verdict = "faster (stale baseline?)"
-        print(f"  [{verdict:>4}] {name}: {metric} {b:.1f} -> {c:.1f} ms "
-              f"({delta_pct:+.1f}%)")
     for name in sorted(cur):
         if name not in base:
             print(f"  [new ] {name}: not in baseline (not compared)")
@@ -130,8 +152,8 @@ def main():
               file=sys.stderr)
         sys.exit(2)
     if failures:
-        print(f"check_bench: {len(failures)} regression(s) (time past "
-              f"{args.max_regression:.0f}% or more work): "
+        print(f"check_bench: {len(failures)} regression(s) (time or peak "
+              f"memory past {args.max_regression:.0f}% or more work): "
               f"{', '.join(failures)}",
               file=sys.stderr)
         sys.exit(1)
