@@ -165,7 +165,8 @@ double median_of(std::vector<double> samples) {
 
 /// Work counts repeat exactly on any machine, so check_bench.py gates them
 /// exactly: one more synthesis of `dfg`, untimed, with a counters-only
-/// sink, and the named counters it reached.
+/// sink, and the named counters it reached.  Every row also counts the
+/// port assignment's IR^LR promotions (`interconnect.promotions`).
 Json count_work(const SynthesisOptions& so, const Dfg& dfg,
                 const Schedule& sched, const std::vector<ModuleProto>& protos,
                 std::initializer_list<const char*> counters) {
@@ -175,7 +176,9 @@ Json count_work(const SynthesisOptions& so, const Dfg& dfg,
   counted.events = &sink;
   (void)Synthesizer(counted).run(dfg, sched, protos);
   Json work = Json::object();
-  for (const char* counter : counters) {
+  std::vector<const char*> names(counters);
+  names.push_back("interconnect.promotions");
+  for (const char* counter : names) {
     work.set(counter, Json::number(static_cast<std::int64_t>(
                           metrics.counter(counter).value())));
   }

@@ -407,12 +407,13 @@ BistSolution BistAllocator::solve(const Datapath& dp) const {
   }
 
   // Pre-enumerate embeddings; record untestable modules.
+  const std::vector<TransparentIPath> transparent =
+      use_transparent_paths ? transparent_ipaths(dp)
+                            : std::vector<TransparentIPath>{};
   std::vector<std::vector<BistEmbedding>> embeddings;
   std::vector<std::size_t> untestable;
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    embeddings.push_back(use_transparent_paths
-                             ? enumerate_embeddings_extended(dp, m)
-                             : enumerate_embeddings(dp, m));
+    embeddings.push_back(enumerate_embeddings(dp, m, transparent));
     LBIST_CHECK(embeddings.back().size() < kNoEmbedding,
                 "too many BIST embeddings for one module");
     if (embeddings.back().empty()) untestable.push_back(m);

@@ -16,8 +16,14 @@
 //                           deterministic input vectors
 //   loop-simulation         multi-iteration simulation with loop feedback
 //                           tracks the reference on every iteration
-//   lemma2                  Lemma-2 forced-CBILBO verdicts agree with brute
-//                           force over every BIST embedding (small designs)
+//   lemma2:<arm>            trad and bist arms: Lemma-2 forced-CBILBO
+//                           verdicts agree with brute force over every BIST
+//                           embedding (small designs) — the check that
+//                           catches a Lemma-2 fault
+//   events-cbilbo           the bist arm's cbilbo_forced events name the
+//                           modules forced_cbilbos finds on the finished
+//                           binding; the binder emits them from that same
+//                           function, so this catches event plumbing only
 //   area-consistency        functional area, extra area and the overhead
 //                           percentage are mutually consistent, and the
 //                           exact allocator never loses to the greedy one

@@ -29,6 +29,8 @@ BistSolution full_scan_greedy(const Datapath& dp, const AreaModel& model,
     }
     return f;
   };
+  const std::vector<TransparentIPath> paths =
+      transparent ? transparent_ipaths(dp) : std::vector<TransparentIPath>{};
   BistSolution sol;
   sol.exact = false;
   sol.embeddings.assign(dp.modules.size(), std::nullopt);
@@ -55,11 +57,7 @@ BistSolution full_scan_greedy(const Datapath& dp, const AreaModel& model,
       }
       return true;
     };
-    if (transparent) {
-      for_each_embedding_extended(dp, m, visit);
-    } else {
-      for_each_embedding(dp, m, visit);
-    }
+    visit_embeddings(embedding_options(dp, m, paths), visit);
     if (!best.has_value()) {
       sol.untestable_modules.push_back(m);
       continue;

@@ -1,5 +1,6 @@
 #include "hybrid/eval.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "support/check.hpp"
@@ -7,6 +8,8 @@
 namespace lbist {
 
 namespace {
+
+constexpr double kSeedLimit = 9007199254740992.0;  // 2^53
 
 HybridMode mode_from_name(const std::string& name) {
   if (name == "pseudo-random") return HybridMode::PseudoRandom;
@@ -49,8 +52,14 @@ HybridConfig hybrid_config_from_json(const Json& j) {
     config.evolve.generations = v->as_int();
   }
   if (const Json* v = j.find("evolve_seed")) {
+    // JSON numbers are doubles: every integer below 2^53 parses exactly,
+    // but a posted 2^53 + 1 parses as 2^53, so 2^53 is refused too.  What
+    // is accepted converts to a uint64 without rounding and prints back as
+    // posted, so the config (and the server's cache key built from it)
+    // round-trips.
     const double seed = v->as_number();
-    LBIST_CHECK(seed >= 0, "evolve_seed must be non-negative");
+    LBIST_CHECK(seed >= 0 && seed < kSeedLimit && seed == std::floor(seed),
+                "evolve_seed must be an integer in [0, 2^53)");
     config.evolve.seed = static_cast<std::uint64_t>(seed);
   }
   // The pseudo-random phase and each reseed burst run inline on a server

@@ -17,7 +17,8 @@ namespace lbist {
 /// Inverse of hybrid_config_to_json; missing fields keep their defaults.
 /// Throws lbist::Error on an unknown mode name or an out-of-range field
 /// (pr_patterns or reseed_burst outside 1..65535, evolve_population
-/// outside 2..64, evolve_generations outside 0..64), naming the field.
+/// outside 2..64, evolve_generations outside 0..64, evolve_seed not an
+/// integer in [0, 2^53)), naming the field.
 [[nodiscard]] HybridConfig hybrid_config_from_json(const Json& j);
 
 /// Serializes a session result (aggregates + per-module breakdown).

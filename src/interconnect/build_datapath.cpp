@@ -68,6 +68,7 @@ Datapath build_datapath(const Dfg& dfg, const ModuleBinding& mb,
 
   // Per-module port assignment and connectivity.  Modules the binder left
   // without instances (over-provisioned specs) produce no hardware.
+  std::uint64_t promotions = 0;
   for (ModuleId m : mb.all_modules()) {
     if (mb.instances(m).empty()) continue;
     const std::size_t dp_index = dp.modules.size();
@@ -96,6 +97,7 @@ Datapath build_datapath(const Dfg& dfg, const ModuleBinding& mb,
     }
     PortAssignment pa =
         assign_ports(dp.registers.size(), constraints, weight);
+    promotions += pa.promotions;
 
     // Section IV: the L/R split of a commutative module is symmetric, so
     // flip it for free when that aligns registers with the side they feed
@@ -163,6 +165,7 @@ Datapath build_datapath(const Dfg& dfg, const ModuleBinding& mb,
     }
     dp.modules.push_back(std::move(mod));
   }
+  if (events != nullptr) events->interconnect_promotions(promotions);
   return dp;
 }
 

@@ -70,8 +70,9 @@ PortAssignment assign_ports(std::size_t num_regs,
 
   // Attempt a consistent labelling; on a clash promote one involved
   // register to Both and retry.  Terminates: Both strictly grows.
-  while (true) {
+  for (std::size_t promotions = 0;; ++promotions) {
     PortAssignment out;
+    out.promotions = promotions;
     out.side.assign(num_regs, PortSide::Unassigned);
     for (std::size_t r = 0; r < num_regs; ++r) {
       if (forced_both[r]) out.side[r] = PortSide::Both;

@@ -36,6 +36,9 @@ struct PortConstraint {
 /// appears in the constraints (others stay Unassigned).
 struct PortAssignment {
   std::vector<PortSide> side;
+  /// Registers promoted to IR^LR to resolve a clash (each promotion
+  /// restarts the labelling fixpoint; forced pins are not counted).
+  std::size_t promotions = 0;
   /// Number of registers connected to both ports (|IR^LR|).
   [[nodiscard]] int both_count() const {
     int c = 0;

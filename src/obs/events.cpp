@@ -167,6 +167,10 @@ void AlgorithmEvents::binding_registers_scanned(std::uint64_t n) {
   }
 }
 
+void AlgorithmEvents::interconnect_promotions(std::uint64_t n) {
+  if (metrics_ != nullptr) metrics_->counter("interconnect.promotions").inc(n);
+}
+
 void AlgorithmEvents::bist_embeddings_scanned(std::uint64_t n) {
   if (metrics_ != nullptr) metrics_->counter("bist.embeddings_scanned").inc(n);
 }

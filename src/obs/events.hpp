@@ -97,6 +97,11 @@ class AlgorithmEvents {
   void mux_input(std::string_view module, std::size_t reg, char side,
                  bool merged);
   void port_flip(std::string_view module);
+  /// Work counter of one data-path build: adds `n` (the registers
+  /// assign_ports promoted to IR^LR to resolve clashes, each restarting
+  /// its fixpoint) to the `interconnect.promotions` counter; records no
+  /// event.
+  void interconnect_promotions(std::uint64_t n);
 
   // ---- BIST allocation --------------------------------------------------
   void bist_role(std::size_t reg, std::string_view role);

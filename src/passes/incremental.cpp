@@ -1,69 +1,36 @@
 #include "passes/incremental.hpp"
 
-#include <string_view>
-
-#include "support/check.hpp"
-
 namespace lbist {
-
-namespace {
-
-/// Copies the named pass's cached output into `state` (the reuse path of
-/// the incremental driver).  Mirrors what each pass's run() writes.
-void copy_pass_output(std::string_view pass, const SynthesisResult& prev,
-                      const VarConflictGraph& prev_cg, SynthState& state) {
-  if (pass == "sched") {
-    state.result.modules = prev.modules;
-    state.result.lifetimes = prev.lifetimes;
-  } else if (pass == "conflict_graph") {
-    state.cg = prev_cg;
-    state.has_cg = true;
-  } else if (pass == "binding") {
-    state.result.registers = prev.registers;
-  } else if (pass == "interconnect") {
-    state.result.datapath = prev.datapath;
-  } else if (pass == "bist") {
-    state.result.bist = prev.bist;
-    state.result.functional_area = prev.functional_area;
-    state.result.overhead_percent = prev.overhead_percent;
-  } else {
-    throw Error("incremental driver does not know pass: " +
-                std::string(pass));
-  }
-}
-
-}  // namespace
 
 SynthesisResult IncrementalSynthesizer::resynthesize(
     const Dfg& dfg, const Schedule& sched,
     const std::vector<ModuleProto>& protos) {
   const PassPipeline& pipeline = PassPipeline::standard();
   SynthState state(dfg, sched, protos, opts_);
+  Json ir = Json::object();
   std::vector<std::uint64_t> fps(pipeline.num_passes(), 0);
   for (std::size_t i = 0; i < pipeline.num_passes(); ++i) {
     const Pass& pass = *pipeline.passes()[i];
-    fps[i] = pass.input_fingerprint(state);
-    if (has_prev_ && fps[i] == fps_[i]) {
-      copy_pass_output(pass.name(), prev_, prev_cg_, state);
-      state.completed = i + 1;
+    fps[i] = pass.input_fingerprint(state, ir);
+    if (!fps_.empty() && fps[i] == fps_[i]) {
+      pass.deserialize(prev_ir_, state);
       ++stats_.passes_reused;
     } else {
       pass.run(state);
-      state.completed = i + 1;
       ++stats_.passes_run;
     }
+    state.completed = i + 1;
+    pass.serialize(state, ir);
   }
   ++stats_.runs;
   fps_ = std::move(fps);
-  prev_ = state.result;  // keep a copy for the next edit
-  prev_cg_ = state.cg;
-  has_prev_ = true;
+  prev_ir_ = std::move(ir);
   return std::move(state.result);
 }
 
 void IncrementalSynthesizer::invalidate() {
-  has_prev_ = false;
   fps_.clear();
+  prev_ir_ = Json();
 }
 
 }  // namespace lbist

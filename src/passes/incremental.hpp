@@ -2,15 +2,16 @@
 // Incremental re-synthesis: after a DFG edit, re-run only the passes
 // whose inputs actually changed.
 //
-// The driver keeps the previous run's per-pass outputs together with a
-// fingerprint of each pass's inputs (Pass::input_fingerprint).  On
-// `resynthesize` it walks the pipeline in order; a pass whose current
-// input fingerprint equals the previous one gets its cached output copied
-// in (the fingerprint covers *everything* the pass reads, so equality
-// proves the deterministic pass would recompute the same bits), otherwise
-// the pass runs for real.  Downstream fingerprints are computed over the
-// *actual* state, so invalidation propagates exactly as far as the edit's
-// effects do — and no further:
+// The driver keeps the previous run's serialized IR (the "ir" object of a
+// snapshot, see passes/pipeline.hpp) together with a fingerprint of each
+// pass's inputs (Pass::input_fingerprint).  On `resynthesize` it walks the
+// pipeline in order; a pass whose current input fingerprint equals the
+// previous one restores its output from that IR through its own
+// deserialize() (the fingerprint covers *everything* the pass reads, so
+// equality proves the deterministic pass would recompute the same bits),
+// otherwise the pass runs for real.  Downstream fingerprints are computed
+// over the *actual* state, so invalidation propagates exactly as far as
+// the edit's effects do — and no further:
 //
 //  * renaming variables/operations reuses sched, conflict_graph and
 //    binding (their outputs are id-based), re-running only interconnect
@@ -20,8 +21,10 @@
 //    everything downstream of the first affected pass.
 //
 // The result is bit-identical to a fresh Synthesizer(opts).run(...) by
-// construction; the fuzzer's incremental-vs-full oracle (src/fuzz)
-// differentially checks exactly that on random designs and edits.
+// construction (a snapshot restores byte for byte, which the fuzzer's
+// snapshot-roundtrip oracle checks); the fuzzer's incremental-vs-full
+// oracle (src/fuzz) differentially checks exactly that on random designs
+// and edits.
 
 #include <cstdint>
 #include <vector>
@@ -65,10 +68,10 @@ class IncrementalSynthesizer {
  private:
   SynthesisOptions opts_;
   Stats stats_;
-  bool has_prev_ = false;
+  /// The previous run's input fingerprints, one per pass (empty before
+  /// the first run and after invalidate()), and its serialized IR.
   std::vector<std::uint64_t> fps_;
-  SynthesisResult prev_;
-  VarConflictGraph prev_cg_;
+  Json prev_ir_;
 };
 
 }  // namespace lbist

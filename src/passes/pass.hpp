@@ -13,8 +13,9 @@
 //  * remote execution — a {"type":"pass"} server request replays one
 //    pass on a posted snapshot with identical results,
 //  * incremental re-synthesis — input_fingerprint() hashes everything a
-//    pass's output depends on; an unchanged fingerprint proves the cached
-//    output is still the answer (passes/incremental.hpp).
+//    pass's output depends on; an unchanged fingerprint proves the
+//    previous run's serialized output is still the answer, and
+//    deserialize() restores it (passes/incremental.hpp).
 
 #include <cstdint>
 
@@ -51,13 +52,15 @@ class Pass {
   /// design.
   virtual void deserialize(const Json& ir, SynthState& state) const = 0;
 
-  /// Canonical fingerprint of every input this pass's output depends on
-  /// (design structure, upstream outputs, the relevant option fields —
-  /// never the observability pointers).  Equal fingerprints imply equal
-  /// outputs; unequal fingerprints may still collide in the other
-  /// direction, which only costs a spurious re-run, never a wrong reuse.
+  /// Hash of every input this pass's output depends on, in the snapshot's
+  /// own encoding: the sections of options_to_json(state.options()) it
+  /// reads (never the observability pointers), the members of `ir` it
+  /// reads, and the design as structural_key or as printed text.  `ir`
+  /// holds what serialize() wrote for the passes before this one.  Equal
+  /// inputs give equal fingerprints; two different inputs collide only
+  /// by a 64-bit hash collision.
   [[nodiscard]] virtual std::uint64_t input_fingerprint(
-      const SynthState& state) const = 0;
+      const SynthState& state, const Json& ir) const = 0;
 };
 
 }  // namespace lbist

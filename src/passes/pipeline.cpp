@@ -1,8 +1,9 @@
 #include "passes/pipeline.hpp"
 
 #include <cmath>
-#include <cstdio>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "baselines/ralloc.hpp"
@@ -20,22 +21,40 @@ namespace lbist {
 
 namespace {
 
-// ---- Canonical fingerprint keys ------------------------------------------
+// ---- Input fingerprints --------------------------------------------------
 //
-// Every pass hashes a canonical string of its inputs with `fnv1a64`.  The
-// strings are built from ids, flags and exactly-printed doubles, so two
-// states fingerprint equal iff the pass would read identical inputs.
+// A pass fingerprints its read-set in the snapshot's own encoding: option
+// sections of options_to_json, members of the serialized IR, and the
+// design (name-free structural_key, or the printed text where names reach
+// the output).  No field is listed twice, so a field added to
+// options_to_json reaches every pass that reads its section.
 
 void append_num(std::string& out, long long v) {
   out += std::to_string(v);
   out += ',';
 }
 
-void append_double(std::string& out, double d) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-  out += ';';
+/// fnv1a64 over the pass name and each piece, every piece length-prefixed
+/// so that no two read-sets concatenate to the same string.
+std::uint64_t hash_read_set(std::string_view pass,
+                            std::initializer_list<std::string> pieces) {
+  std::string key(pass);
+  for (const std::string& piece : pieces) {
+    key += '|';
+    key += std::to_string(piece.size());
+    key += ':';
+    key += piece;
+  }
+  return fnv1a64(key);
+}
+
+/// The snapshot's "modules" member: one label per module prototype.
+Json modules_json(const std::vector<ModuleProto>& protos) {
+  Json modules = Json::array();
+  for (const ModuleProto& p : protos) {
+    modules.push_back(Json::string(p.label()));
+  }
+  return modules;
 }
 
 /// Name-free structural encoding of the scheduled design: operation
@@ -61,68 +80,6 @@ std::string structural_key(const Dfg& dfg, const Schedule& sched) {
     append_num(key, carried.value());
     append_num(key, init.value());
   }
-  return key;
-}
-
-std::string spec_key(const std::vector<ModuleProto>& protos) {
-  std::string key;
-  for (const ModuleProto& p : protos) {
-    key += p.label();
-    key += ';';
-  }
-  return key;
-}
-
-std::string lifetimes_key(const IdMap<VarId, LiveInterval>& lifetimes) {
-  std::string key;
-  for (const LiveInterval& lt : lifetimes) {
-    append_num(key, lt.birth);
-    append_num(key, lt.death);
-  }
-  return key;
-}
-
-std::string module_of_key(const ModuleBinding& mb, const Dfg& dfg) {
-  std::string key;
-  for (const Operation& op : dfg.ops()) {
-    append_num(key, mb.module_of(op.id).value());
-  }
-  return key;
-}
-
-std::string registers_key(const RegisterBinding& rb) {
-  std::string key;
-  for (const std::vector<VarId>& reg : rb.regs) {
-    for (VarId v : reg) append_num(key, v.value());
-    key += '/';
-  }
-  return key;
-}
-
-std::string area_key(const AreaModel& area) {
-  std::string key = std::to_string(area.bit_width) + ";";
-  append_double(key, area.reg_gates_per_bit);
-  append_double(key, area.mux_gates_per_bit);
-  append_double(key, area.tpg_extra_per_bit);
-  append_double(key, area.sa_extra_per_bit);
-  append_double(key, area.bilbo_extra_per_bit);
-  append_double(key, area.cbilbo_extra_per_bit);
-  append_double(key, area.add_gates_per_bit);
-  append_double(key, area.sub_gates_per_bit);
-  append_double(key, area.logic_gates_per_bit);
-  append_double(key, area.cmp_gates_per_bit);
-  append_double(key, area.mul_gates_per_bit2);
-  append_double(key, area.div_gates_per_bit2);
-  append_double(key, area.alu_extra_kind_factor);
-  return key;
-}
-
-std::string bist_binder_key(const BistBinderOptions& bb) {
-  std::string key;
-  key += bb.sd_ordered_pves ? '1' : '0';
-  key += bb.delta_sd_rule ? '1' : '0';
-  key += bb.case_overrides ? '1' : '0';
-  key += bb.avoid_cbilbo ? '1' : '0';
   return key;
 }
 
@@ -412,13 +369,12 @@ class SchedPass final : public Pass {
   }
 
   [[nodiscard]] std::uint64_t input_fingerprint(
-      const SynthState& state) const override {
-    std::string key = "sched|";
-    key += structural_key(state.dfg(), state.sched());
-    key += "|spec=" + spec_key(state.protos());
-    key += "|lt=";
-    key += state.options().lifetime.hold_outputs_to_end ? '1' : '0';
-    return fnv1a64(key);
+      const SynthState& state, const Json&) const override {
+    const Json opts = options_to_json(state.options());
+    return hash_read_set(
+        name(), {structural_key(state.dfg(), state.sched()),
+                 modules_json(state.protos()).dump_compact(),
+                 opts.at("lifetime").dump_compact()});
   }
 };
 
@@ -443,14 +399,13 @@ class ConflictGraphPass final : public Pass {
   }
 
   [[nodiscard]] std::uint64_t input_fingerprint(
-      const SynthState& state) const override {
-    std::string key = "cg|";
-    key += lifetimes_key(state.result.lifetimes);
-    key += "|a:";
+      const SynthState& state, const Json& ir) const override {
+    std::string allocatable;
     for (const Variable& v : state.dfg().vars()) {
-      key += v.allocatable() ? '1' : '0';
+      allocatable += v.allocatable() ? '1' : '0';
     }
-    return fnv1a64(key);
+    return hash_read_set(name(),
+                         {ir.at("lifetimes").dump_compact(), allocatable});
   }
 };
 
@@ -530,16 +485,14 @@ class BindingPass final : public Pass {
   }
 
   [[nodiscard]] std::uint64_t input_fingerprint(
-      const SynthState& state) const override {
-    const SynthesisOptions& opts = state.options();
-    std::string key = "bind|";
-    append_num(key, static_cast<long long>(opts.binder));
-    key += bist_binder_key(opts.bist_binder);
-    key += '|';
-    key += structural_key(state.dfg(), state.sched());
-    key += "|lt:" + lifetimes_key(state.result.lifetimes);
-    key += "|mo:" + module_of_key(state.result.modules, state.dfg());
-    return fnv1a64(key);
+      const SynthState& state, const Json& ir) const override {
+    const Json opts = options_to_json(state.options());
+    return hash_read_set(
+        name(), {opts.at("binder").dump_compact(),
+                 opts.at("bist_binder").dump_compact(),
+                 structural_key(state.dfg(), state.sched()),
+                 ir.at("lifetimes").dump_compact(),
+                 ir.at("module_of").dump_compact()});
   }
 };
 
@@ -570,17 +523,16 @@ class InterconnectPass final : public Pass {
   }
 
   [[nodiscard]] std::uint64_t input_fingerprint(
-      const SynthState& state) const override {
+      const SynthState& state, const Json& ir) const override {
     // The data path embeds names (design, port-resident inputs, module
     // labels), so the full textual design participates here.
-    std::string key = "ic|";
-    key += state.options().interconnect.weight_by_sd ? '1' : '0';
-    key += '|';
-    key += print_dfg(state.dfg(), &state.sched());
-    key += "|spec=" + spec_key(state.protos());
-    key += "|mo:" + module_of_key(state.result.modules, state.dfg());
-    key += "|rb:" + registers_key(state.result.registers);
-    return fnv1a64(key);
+    const Json opts = options_to_json(state.options());
+    return hash_read_set(
+        name(), {opts.at("interconnect").dump_compact(),
+                 print_dfg(state.dfg(), &state.sched()),
+                 modules_json(state.protos()).dump_compact(),
+                 ir.at("module_of").dump_compact(),
+                 ir.at("registers").dump_compact()});
   }
 };
 
@@ -633,18 +585,17 @@ class BistPass final : public Pass {
   }
 
   [[nodiscard]] std::uint64_t input_fingerprint(
-      const SynthState& state) const override {
-    const SynthesisOptions& opts = state.options();
+      const SynthState& state, const Json& ir) const override {
     // Which labelling runs depends only on the binder *class*.
-    const int cls = opts.binder == BinderKind::Ralloc    ? 0
-                    : opts.binder == BinderKind::Syntest ? 1
-                                                         : 2;
-    std::string key = "bist|";
-    append_num(key, cls);
-    key += area_key(opts.area);
-    key += '|';
-    key += datapath_to_json(state.result.datapath).dump_compact();
-    return fnv1a64(key);
+    const BinderKind binder = state.options().binder;
+    const char* cls =
+        binder == BinderKind::Ralloc || binder == BinderKind::Syntest
+            ? binder_kind_name(binder)
+            : "allocator";
+    return hash_read_set(
+        name(), {cls,
+                 options_to_json(state.options()).at("area").dump_compact(),
+                 ir.at("datapath").dump_compact()});
   }
 };
 
@@ -686,11 +637,7 @@ Json PassPipeline::snapshot(const SynthState& state) const {
                             ? "none"
                             : passes_[state.completed - 1]->name()));
   snap.set("design", Json::string(print_dfg(state.dfg(), &state.sched())));
-  Json modules = Json::array();
-  for (const ModuleProto& p : state.protos()) {
-    modules.push_back(Json::string(p.label()));
-  }
-  snap.set("modules", std::move(modules));
+  snap.set("modules", modules_json(state.protos()));
   snap.set("options", options_to_json(state.options()));
   Json ir = Json::object();
   for (std::size_t i = 0; i < state.completed; ++i) {

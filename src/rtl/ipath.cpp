@@ -98,37 +98,16 @@ std::size_t visit_embeddings(
   return visited;
 }
 
-std::vector<BistEmbedding> enumerate_embeddings(const Datapath& dp,
-                                                std::size_t m) {
-  std::vector<BistEmbedding> out;
-  for_each_embedding(dp, m, [&](const BistEmbedding& e) {
-    out.push_back(e);
-    return true;
-  });
-  return out;
-}
-
-std::vector<BistEmbedding> enumerate_embeddings_extended(const Datapath& dp,
-                                                         std::size_t m) {
-  std::vector<BistEmbedding> out;
-  for_each_embedding_extended(dp, m, [&](const BistEmbedding& e) {
-    out.push_back(e);
-    return true;
-  });
-  return out;
-}
-
-std::size_t for_each_embedding(
+std::vector<BistEmbedding> enumerate_embeddings(
     const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn) {
-  return visit_embeddings(embedding_options(dp, m), fn);
-}
-
-std::size_t for_each_embedding_extended(
-    const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn) {
-  return visit_embeddings(embedding_options(dp, m, transparent_ipaths(dp)),
-                          fn);
+    std::span<const TransparentIPath> transparent) {
+  std::vector<BistEmbedding> out;
+  visit_embeddings(embedding_options(dp, m, transparent),
+                   [&](const BistEmbedding& e) {
+                     out.push_back(e);
+                     return true;
+                   });
+  return out;
 }
 
 bool has_identity_mode(const ModuleProto& proto) {

@@ -21,9 +21,9 @@
 // A module's embeddings are the cross product of three per-port lists
 // (`EmbeddingOptions`): the TPG options of each input port and the
 // destination registers.  `visit_embeddings` walks the product of any
-// such lists; the full lists give every embedding (`for_each_embedding`,
-// `enumerate_embeddings`), and the greedy BIST allocator walks shortened
-// lists of its own (bist/allocator.cpp).
+// such lists; the full lists give every embedding (`enumerate_embeddings`),
+// and the greedy BIST allocator walks shortened lists of its own
+// (bist/allocator.cpp).
 
 #include <functional>
 #include <optional>
@@ -123,32 +123,18 @@ std::size_t visit_embeddings(
     const EmbeddingOptions& options,
     const std::function<bool(const BistEmbedding&)>& fn);
 
-/// Every BIST embedding of module `m` over simple I-paths only
-/// (tpg_left != tpg_right always).  Empty result means the module cannot
-/// be pseudo-randomly tested with the present connectivity (e.g. a single
-/// register feeds both ports).
+/// Every BIST embedding of module `m`, in `visit_embeddings` order over
+/// `embedding_options(dp, m, transparent)`: simple I-paths plus the
+/// one-hop `transparent` paths (the result of `transparent_ipaths(dp)`,
+/// computed once per data path; empty for simple I-paths only).
+/// tpg_left != tpg_right always.  Empty result means the module cannot be
+/// pseudo-randomly tested with the present connectivity (e.g. a single
+/// register feeds both ports).  The list is up to |left| x |right| x
+/// |dests| long — quadratic-to-cubic in register fan-in — so callers that
+/// only scan it stream `visit_embeddings` instead.
 [[nodiscard]] std::vector<BistEmbedding> enumerate_embeddings(
-    const Datapath& dp, std::size_t m);
-
-/// Embeddings over simple I-paths plus single-hop transparent I-paths
-/// (extension; see DESIGN.md).  The simple embeddings come first, so
-/// cost-equal solutions prefer them.
-[[nodiscard]] std::vector<BistEmbedding> enumerate_embeddings_extended(
-    const Datapath& dp, std::size_t m);
-
-/// Streaming visitor over every embedding of module `m`, in exactly the
-/// order `enumerate_embeddings` would list them, without materializing the
-/// list (the count is |left| x |right| x |dests| — quadratic-to-cubic in
-/// register fan-in, gigabytes at 10k-op scale).  `fn` returns false to
-/// stop early.  Returns the number of embeddings visited.
-std::size_t for_each_embedding(
     const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn);
-
-/// Streaming form of `enumerate_embeddings_extended` (same order).
-std::size_t for_each_embedding_extended(
-    const Datapath& dp, std::size_t m,
-    const std::function<bool(const BistEmbedding&)>& fn);
+    std::span<const TransparentIPath> transparent = {});
 
 /// True if the module kind set has an identity constant making one operand
 /// transparent (add/sub/or/xor: 0, mul/div: 1, and: all-ones).

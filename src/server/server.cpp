@@ -518,7 +518,11 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
         obs::ProfilerOptions popts;
         if (const Json* hz = doc.find("hz");
             hz != nullptr && hz->is_number()) {
-          popts.hz = static_cast<int>(hz->as_number());
+          try {
+            popts.hz = hz->as_int();
+          } catch (const Error&) {
+            throw Error("profiler hz must be an integer in [1, 10000]");
+          }
         }
         prof.start(popts);
         metrics_.gauge("profiler.running").set(1.0);

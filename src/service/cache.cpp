@@ -1,24 +1,11 @@
 #include "service/cache.hpp"
 
-#include <cstdio>
-#include <sstream>
-
 #include "core/synthesizer.hpp"
 #include "dfg/parse.hpp"
+#include "passes/pipeline.hpp"
 #include "service/diskcache/diskcache.hpp"
 
 namespace lbist {
-
-namespace {
-
-void append_double(std::string& out, double d) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  out += buf;
-  out += ';';
-}
-
-}  // namespace
 
 std::string synthesis_cache_key(const Dfg& dfg, const Schedule& sched,
                                 const std::vector<ModuleProto>& protos,
@@ -29,36 +16,14 @@ std::string synthesis_cache_key(const Dfg& dfg, const Schedule& sched,
     key += p.label();
     key += ';';
   }
-  key += "|binder=" + std::to_string(static_cast<int>(opts.binder));
-  key += "|bb=";
-  key += opts.bist_binder.sd_ordered_pves ? '1' : '0';
-  key += opts.bist_binder.delta_sd_rule ? '1' : '0';
-  key += opts.bist_binder.case_overrides ? '1' : '0';
-  key += opts.bist_binder.avoid_cbilbo ? '1' : '0';
-  key += "|ic=";
-  key += opts.interconnect.weight_by_sd ? '1' : '0';
-  key += "|lt=";
-  key += opts.lifetime.hold_outputs_to_end ? '1' : '0';
-  key += "|area=";
-  key += std::to_string(opts.area.bit_width) + ";";
-  append_double(key, opts.area.reg_gates_per_bit);
-  append_double(key, opts.area.mux_gates_per_bit);
-  append_double(key, opts.area.tpg_extra_per_bit);
-  append_double(key, opts.area.sa_extra_per_bit);
-  append_double(key, opts.area.bilbo_extra_per_bit);
-  append_double(key, opts.area.cbilbo_extra_per_bit);
-  append_double(key, opts.area.add_gates_per_bit);
-  append_double(key, opts.area.sub_gates_per_bit);
-  append_double(key, opts.area.logic_gates_per_bit);
-  append_double(key, opts.area.cmp_gates_per_bit);
-  append_double(key, opts.area.mul_gates_per_bit2);
-  append_double(key, opts.area.div_gates_per_bit2);
-  append_double(key, opts.area.alu_extra_kind_factor);
-  key += "|patterns=" + std::to_string(patterns);
-  // opts.trace / opts.events are deliberately NOT part of the key: they
-  // change what gets recorded about a run, never what is synthesized, so a
-  // traced request may be served from a cache entry produced without
-  // tracing (and vice versa).
+  // The IR snapshot's "options" member: every option that changes what is
+  // synthesized and never opts.trace / opts.events, which only change what
+  // gets recorded about a run — a traced request may be served from a
+  // cache entry produced without tracing (and vice versa).
+  key += "|options=";
+  key += options_to_json(opts).dump_compact();
+  key += "|patterns=";
+  key += std::to_string(patterns);
   return key;
 }
 

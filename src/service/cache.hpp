@@ -32,10 +32,10 @@ struct ModuleProto;
 struct SynthesisOptions;
 
 /// Canonical cache key of one synthesis request: the printed scheduled DFG,
-/// the module spec, every SynthesisOptions knob (binder, BIST-binder flags,
-/// interconnect, lifetime, full area model) and the BIST pattern budget.
-/// Two requests get equal keys iff the pipeline would produce identical
-/// results for them.
+/// the module labels, options_to_json(opts) (the IR snapshot's "options"
+/// member: every option that affects synthesis) and the BIST pattern
+/// budget.  Two requests get equal keys iff the pipeline would produce
+/// identical results for them.
 [[nodiscard]] std::string synthesis_cache_key(
     const Dfg& dfg, const Schedule& sched,
     const std::vector<ModuleProto>& protos, const SynthesisOptions& opts,

@@ -604,11 +604,12 @@ BistSolution solve(const Datapath& dp, const AreaModel& model,
   greedy.use_transparent_paths = transparent;
   if (dp.registers.size() > 192) return greedy.solve_greedy(dp);
 
+  const std::vector<TransparentIPath> paths =
+      transparent ? transparent_ipaths(dp) : std::vector<TransparentIPath>{};
   std::vector<std::vector<BistEmbedding>> embeddings;
   std::vector<std::size_t> untestable;
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    embeddings.push_back(transparent ? enumerate_embeddings_extended(dp, m)
-                                     : enumerate_embeddings(dp, m));
+    embeddings.push_back(enumerate_embeddings(dp, m, paths));
     if (embeddings.back().empty()) untestable.push_back(m);
   }
   const bool prune = area_flag_monotone(model);

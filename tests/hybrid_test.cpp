@@ -296,6 +296,28 @@ TEST(HybridEval, ConfigRoundTripsThroughJson) {
   EXPECT_TRUE(rejects("pr_patterns", -1));
   EXPECT_TRUE(rejects("reseed_burst", 65536));
   EXPECT_TRUE(rejects("reseed_burst", 0));
+  // The GA seed converts to a uint64 only when that is exact and prints
+  // back as posted: no fraction, nothing at or past 2^53 (a posted
+  // 2^53 + 1 already parses as 2^53), nothing past uint64.
+  for (const char* seed : {"1e30", "18446744073709551615", "1.5", "-1",
+                           "9007199254740992", "9007199254740993"}) {
+    try {
+      (void)hybrid_config_from_json(
+          Json::parse(std::string("{\"evolve_seed\": ") + seed + "}"));
+      ADD_FAILURE() << "evolve_seed " << seed << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("evolve_seed"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* seed : {"0", "9007199254740991"}) {
+    const Json posted =
+        Json::parse(std::string("{\"evolve_seed\": ") + seed + "}");
+    EXPECT_EQ(hybrid_config_to_json(hybrid_config_from_json(posted))
+                  .at("evolve_seed")
+                  .dump_compact(),
+              seed);
+  }
   HybridConfig longest;
   longest.pr_patterns = 65535;
   longest.reseed_burst = 65535;

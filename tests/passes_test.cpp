@@ -1,11 +1,16 @@
 // Tests for the pass manager (src/passes/): pipeline shape, stage-boundary
 // snapshot/restore byte-identity, options serialization, module-binding
-// restore, incremental re-synthesis reuse accounting, and the build-info /
+// restore, incremental re-synthesis reuse accounting, the read-sets behind
+// the cache key and the pass fingerprints, and the build-info /
 // pass-cache-key plumbing the checkpoint features sit on.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +20,8 @@
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/parse.hpp"
+#include "obs/events.hpp"
+#include "obs/trace.hpp"
 #include "passes/incremental.hpp"
 #include "passes/pipeline.hpp"
 #include "passes/synth_state.hpp"
@@ -362,6 +369,150 @@ TEST(Incremental, InvalidateForcesAFullRun) {
   (void)inc.resynthesize(bench.design.dfg, *bench.design.schedule, protos);
   EXPECT_EQ(inc.stats().passes_run, 2 * n);
   EXPECT_EQ(inc.stats().passes_reused, 0u);
+}
+
+// ---- Read-sets -------------------------------------------------------------
+//
+// The cache key and the pass fingerprints are derived from options_to_json
+// rather than from field lists of their own, so every option reaches them.
+// Each leaf of the default options is perturbed in turn; the key must
+// change, and on one fixed state per pass boundary exactly the passes
+// whose read-set holds the leaf's section must change fingerprint.
+
+/// `j` with the leaf at `path` replaced by `value`.
+Json with_leaf(const Json& j, const std::vector<std::string>& path,
+               std::size_t depth, Json value) {
+  if (depth == path.size()) return value;
+  Json copy = j;
+  copy.set(path[depth],
+           with_leaf(j.at(path[depth]), path, depth + 1, std::move(value)));
+  return copy;
+}
+
+void for_each_leaf(
+    const Json& j, std::vector<std::string>& path,
+    const std::function<void(const std::vector<std::string>&, const Json&)>&
+        fn) {
+  if (!j.is_object()) {
+    fn(path, j);
+    return;
+  }
+  for (const std::string& key : j.keys()) {
+    path.push_back(key);
+    for_each_leaf(j.at(key), path, fn);
+    path.pop_back();
+  }
+}
+
+/// Flip a bool, bump the width, scale a coefficient, name each other
+/// binder.
+std::vector<Json> perturbations_of(const std::vector<std::string>& path,
+                                   const Json& leaf) {
+  if (leaf.is_bool()) return {Json::boolean(!leaf.as_bool())};
+  if (leaf.is_number()) {
+    const double v = leaf.as_number();
+    return {Json::number(path.back() == "bit_width" ? v + 1 : v * 2)};
+  }
+  std::vector<Json> out;
+  if (path == std::vector<std::string>{"binder"}) {
+    for (BinderKind kind :
+         {BinderKind::Traditional, BinderKind::BistAware, BinderKind::Ralloc,
+          BinderKind::Syntest, BinderKind::CliquePartition,
+          BinderKind::LoopAware}) {
+      if (leaf.as_string() != binder_kind_name(kind)) {
+        out.push_back(Json::string(binder_kind_name(kind)));
+      }
+    }
+  }
+  return out;
+}
+
+/// The BIST pass reads only which labelling runs: RALLOC's, SYNTEST's or
+/// the allocator.
+int binder_class(BinderKind kind) {
+  return kind == BinderKind::Ralloc ? 0 : kind == BinderKind::Syntest ? 1 : 2;
+}
+
+TEST(ReadSets, EveryOptionLeafReachesTheKeyAndExactlyItsReaders) {
+  const Benchmark bench = make_ex1();
+  const Dfg& dfg = bench.design.dfg;
+  const Schedule& sched = *bench.design.schedule;
+  const auto protos = parse_module_spec(bench.module_spec);
+  const PassPipeline& pipeline = PassPipeline::standard();
+  const SynthesisOptions base;
+  SynthState done(dfg, sched, protos, base);
+  pipeline.run(done);
+
+  // Each pass's fingerprint under `opts`, on the state at that pass's
+  // boundary: the base run's outputs upstream, their serialized IR.
+  auto fingerprints = [&](const SynthesisOptions& opts) {
+    std::vector<std::uint64_t> fps;
+    for (std::size_t i = 0; i < pipeline.num_passes(); ++i) {
+      SynthState at(dfg, sched, protos, opts);
+      at.result = done.result;
+      at.completed = i;
+      const Json ir = pipeline.snapshot(at).at("ir");
+      fps.push_back(pipeline.passes()[i]->input_fingerprint(at, ir));
+    }
+    return fps;
+  };
+  auto key = [&](const SynthesisOptions& opts) {
+    return synthesis_cache_key(dfg, sched, protos, opts, 250);
+  };
+  const std::vector<std::uint64_t> base_fps = fingerprints(base);
+  const std::string base_key = key(base);
+
+  const std::map<std::string, std::set<std::string>> readers = {
+      {"lifetime", {"sched"}},
+      {"binder", {"binding"}},
+      {"bist_binder", {"binding"}},
+      {"interconnect", {"interconnect"}},
+      {"area", {"bist"}},
+  };
+  std::set<std::string> sections_seen;
+  std::size_t leaves = 0;
+  const Json base_json = options_to_json(base);
+  std::vector<std::string> path;
+  for_each_leaf(base_json, path, [&](const std::vector<std::string>& at,
+                                     const Json& leaf) {
+    ++leaves;
+    const std::string section = at.front();
+    const auto reader = readers.find(section);
+    ASSERT_NE(reader, readers.end())
+        << "option section " << section << " has no declared reader";
+    sections_seen.insert(section);
+    const std::vector<Json> values = perturbations_of(at, leaf);
+    ASSERT_FALSE(values.empty()) << "no perturbation for " << leaf.dump();
+    for (const Json& value : values) {
+      const Json changed = with_leaf(base_json, at, 0, value);
+      const SynthesisOptions opts = options_from_json(changed);
+      const std::string label = changed.dump_compact();
+      EXPECT_EQ(options_to_json(opts).dump(), changed.dump()) << label;
+      EXPECT_NE(key(opts), base_key) << label;
+      std::set<std::string> expected = reader->second;
+      if (binder_class(opts.binder) != binder_class(base.binder)) {
+        expected.insert("bist");
+      }
+      const std::vector<std::uint64_t> fps = fingerprints(opts);
+      for (std::size_t i = 0; i < pipeline.num_passes(); ++i) {
+        const std::string pass = pipeline.passes()[i]->name();
+        EXPECT_EQ(fps[i] != base_fps[i], expected.count(pass) == 1)
+            << pass << " under " << label;
+      }
+    }
+  });
+  EXPECT_EQ(sections_seen.size(), readers.size());
+  EXPECT_GE(leaves, 20u);
+
+  // The observability pointers change what is recorded, never what is
+  // synthesized: neither the key nor any fingerprint sees them.
+  TraceRecorder trace;
+  AlgorithmEvents events;
+  SynthesisOptions observed = base;
+  observed.trace = &trace;
+  observed.events = &events;
+  EXPECT_EQ(key(observed), base_key);
+  EXPECT_EQ(fingerprints(observed), base_fps);
 }
 
 TEST(BuildInfo, IsPopulatedAndSerializable) {

@@ -592,6 +592,67 @@ TEST(ServerEndToEnd, OverlongHybridPhaseIsRejectedAndShardStaysUp) {
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
 
+// Posted numbers that no integer field can hold exactly — an evolve_seed
+// past 2^53 or with a fraction, a profiler rate past int — are answered
+// with an error naming the field instead of running as a rounded or
+// wrapped value, and the shard goes on answering the same connection.
+// None of these requests starts the profiler.
+TEST(ServerEndToEnd, InexactPostedNumbersAreRejectedAndShardStaysUp) {
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), SynthesisOptions{});
+  const PassPipeline& pipeline = PassPipeline::standard();
+  pipeline.run(state, pipeline.index_of("binding") + 1);
+  const std::string snapshot = pipeline.snapshot(state).dump_compact();
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"evolve_seed", "1e30"},
+      {"evolve_seed", "18446744073709551615"},
+      {"evolve_seed", "1.5"},
+      {"evolve_seed", "9007199254740993"},
+      {"hz", "1e30"},
+      {"hz", "1.5"},
+  };
+  std::string request;
+  for (const auto& [field, value] : bad) {
+    if (field == "hz") {
+      request += "{\"type\": \"profile\", \"action\": \"start\", \"hz\": " +
+                 value + "}\n";
+    } else {
+      request += "{\"type\": \"hybrid\", \"config\": {\"mode\": \"evolved\", "
+                 "\"evolve_seed\": " +
+                 value + "}, \"snapshot\": " + snapshot + "}\n";
+    }
+  }
+  request += "{\"type\": \"health\"}\n";
+
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  ASSERT_EQ(summary.responses, static_cast<int>(bad.size()) + 1);
+  std::istringstream lines(out.str());
+  for (const auto& [field, value] : bad) {
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const Json reply = Json::parse(line);
+    EXPECT_EQ(reply.at("type").as_string(),
+              field == "hz" ? "profile" : "hybrid");
+    EXPECT_EQ(reply.at("status").as_string(), "error") << field << value;
+    EXPECT_NE(reply.at("error").as_string().find(field), std::string::npos)
+        << reply.at("error").as_string();
+  }
+  std::string last;
+  ASSERT_TRUE(std::getline(lines, last));
+  const Json health = Json::parse(last);
+  EXPECT_EQ(health.at("type").as_string(), "health");
+  EXPECT_EQ(health.at("status").as_string(), "ok");
+  EXPECT_FALSE(obs::Profiler::instance().running());
+}
+
 // The health reply carries the build record so clients can detect
 // server/client version skew before posting snapshots.
 TEST(ServerEndToEnd, HealthReplyCarriesBuildInfo) {

@@ -44,9 +44,10 @@ Datapath chain_datapath() {
 
 TEST(Transparency, ExtendedSupersetOfSimple) {
   Datapath dp = chain_datapath();
+  const auto paths = transparent_ipaths(dp);
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     auto simple = enumerate_embeddings(dp, m);
-    auto extended = enumerate_embeddings_extended(dp, m);
+    auto extended = enumerate_embeddings(dp, m, paths);
     EXPECT_GE(extended.size(), simple.size());
     // The simple embeddings appear first, unchanged.
     for (std::size_t i = 0; i < simple.size(); ++i) {
@@ -59,7 +60,7 @@ TEST(Transparency, ExtendedSupersetOfSimple) {
 
 TEST(Transparency, ExtendedEmbeddingsRouteThroughIdentityModule) {
   Datapath dp = chain_datapath();
-  auto extended = enumerate_embeddings_extended(dp, 1);
+  auto extended = enumerate_embeddings(dp, 1, transparent_ipaths(dp));
   bool found = false;
   for (const auto& e : extended) {
     if (!e.uses_transparency()) continue;
@@ -77,8 +78,9 @@ TEST(Transparency, ExtendedEmbeddingsRouteThroughIdentityModule) {
 
 TEST(Transparency, ViaRegisterNeverDoublesAsSaOrPeerTpg) {
   Datapath dp = chain_datapath();
+  const auto paths = transparent_ipaths(dp);
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
-    for (const auto& e : enumerate_embeddings_extended(dp, m)) {
+    for (const auto& e : enumerate_embeddings(dp, m, paths)) {
       for (auto via : {e.left_via, e.right_via}) {
         if (!via.has_value()) continue;
         EXPECT_NE(*via, e.tpg_left);
