@@ -114,11 +114,9 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
   std::vector<std::size_t> feasible;
   feasible.reserve(n);
   std::uint64_t scanned = 0;  // fit tests, published once per run
-  // A recording sink lists every register that fits, in index order; first
-  // fit scans in index order up to the first that fits.  The ΔSD rule
-  // otherwise scans by SD.
+  // First fit scans in index order up to the first register that fits; the
+  // ΔSD rule scans by SD.  A recording sink does not change the scan.
   const bool recording = events != nullptr && events->recording();
-  const bool index_order = !opts.delta_sd_rule || recording;
 
   for (std::size_t v : peo | std::views::reverse) {
     const VarId var = cg.vars[v];
@@ -151,10 +149,14 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
     // below `unscanned` in SD order.
     std::size_t next = 0;
     std::size_t unscanned = 0;
-    if (index_order) {
-      while (next < file.size() && (recording || feasible.empty())) {
-        visit(next++);
+    auto finish_scan = [&] {
+      while (next < file.size()) visit(next++);
+      while (unscanned > 0) {
+        for (std::size_t r : by_sd[--unscanned]) visit(r);
       }
+    };
+    if (!opts.delta_sd_rule) {
+      while (next < file.size() && feasible.empty()) visit(next++);
     } else {
       next = file.size();
       // Highest SD first, stopping after the bucket in which some register
@@ -266,10 +268,7 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
       }
       if (would_force) {
         // The fallback ranks every register that fits: finish the scan.
-        while (next < file.size()) visit(next++);
-        while (unscanned > 0) {
-          for (std::size_t r : by_sd[--unscanned]) visit(r);
-        }
+        finish_scan();
         std::vector<std::size_t> ordered = feasible;
         std::sort(ordered.begin(), ordered.end(),
                   [&](std::size_t a, std::size_t b) { return better(a, b); });
@@ -288,18 +287,21 @@ RegisterBinding bind_registers_bist_aware(const Dfg& dfg,
       }
     }
 
+    // A recording sink's `assign` event lists every register that fits,
+    // in index order: finish the scan for it, without counting the visits
+    // the decision did not make.  A counters-only sink discards the list.
+    std::vector<SdCandidate> cands;
+    if (recording) {
+      const std::uint64_t decided = scanned;
+      finish_scan();
+      scanned = decided;
+      std::sort(feasible.begin(), feasible.end());
+      cands.reserve(feasible.size());
+      for (std::size_t r : feasible) cands.push_back(SdCandidate{r, dsd[r]});
+    }
     const int gained = dsd[chosen];
     assign(v, chosen);
     if (events != nullptr) {
-      // A counters-only sink discards the candidate set; skip the
-      // O(regs) copy.
-      std::vector<SdCandidate> cands;
-      if (recording) {
-        cands.reserve(feasible.size());
-        for (std::size_t r : feasible) {
-          cands.push_back(SdCandidate{r, dsd[r]});
-        }
-      }
       events->assign(dfg.var(var).name, chosen, gained,
                      /*new_register=*/false, cands);
     }

@@ -35,9 +35,10 @@
 // down and stops after the SD bucket in which some register gains
 // ΔSD = SD(v), the most any can gain: no lower bucket can beat it, and
 // every Case 1/2 candidate lies above it.  CBILBO avoidance finishes the
-// scan when it fires; first fit and a recording sink (whose `assign`
-// events list every fitting register) scan in index order.  Bindings
-// equal those of the full scan, `full_scan_bist_binding` in
+// scan when it fires; first fit scans in index order.  A recording sink,
+// whose `assign` events list every fitting register, gets the same scan
+// and count: the rest is visited after each decision, uncounted.
+// Bindings equal those of the full scan, `full_scan_bist_binding` in
 // fuzz/reference.hpp, under every option set.
 
 #include "binding/module_binding.hpp"

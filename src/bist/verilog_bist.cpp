@@ -1,7 +1,10 @@
 #include "bist/verilog_bist.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "bist/session_sim.hpp"
@@ -129,52 +132,35 @@ std::string emit_bist_verilog(const Datapath& dp,
      << "'\n";
   os << kBilboPrimitive << kCbilboPrimitive;
 
+  using Kind = DpPort::Kind;
+  const std::vector<DpPort> ports = datapath_ports(dp, width);
   const std::string top = verilog_ident(dp.name) + "_bist";
   os << "\nmodule " << top << " (\n";
   os << "  input  wire clk,\n  input  wire rst,\n";
   os << "  input  wire bist_run,\n";
   os << "  output reg  bist_done,\n  output reg  bist_pass,\n";
-  // Functional ports (normal mode): loads, enables, selects, outputs.
-  std::vector<std::string> ports;
-  for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    const auto& reg = dp.registers[r];
-    const std::string rn = verilog_ident(reg.name);
-    if (reg.external_source || reg.dedicated_input) {
-      ports.push_back("  input  wire [" + std::to_string(width - 1) +
-                      ":0] load_" + rn);
-    }
-    ports.push_back("  input  wire en_" + rn);
-    ports.push_back("  input  wire [3:0] sel_" + rn);
-    if (reg.drives_output) {
-      ports.push_back("  output wire [" + std::to_string(width - 1) +
-                      ":0] out_" + rn);
-    }
-  }
-  for (const auto& mod : dp.modules) {
-    const std::string mn = verilog_ident(mod.name);
-    ports.push_back("  input  wire [3:0] sel_" + mn + "_l");
-    ports.push_back("  input  wire [3:0] sel_" + mn + "_r");
-    if (mod.proto.supports.size() > 1) {
-      ports.push_back("  input  wire [3:0] op_" + mn);
-    }
-  }
-  for (std::size_t i = 0; i < ports.size(); ++i) {
-    os << ports[i] << (i + 1 < ports.size() ? ",\n" : "\n");
-  }
-  os << ");\n\n";
+  // The data path's functional ports (normal mode).
+  os << port_declarations(ports) << ");\n\n";
 
-  // BIST controller state.
+  // BIST controller state.  `cycle` holds 0..PATTERNS + 1 and `sub`
+  // 0..N_SUBS - 1: 16 and 8 bits, or wider where those values need it.
   const std::size_t n_subs = subs.size();
+  const int cycle_bits =
+      std::max(16, select_bits(static_cast<std::size_t>(patterns) + 2));
+  const int sub_bits = std::max(8, select_bits(n_subs));
+  const std::string cyc = std::to_string(cycle_bits) + "'d";
+  const std::string sub_lit = std::to_string(sub_bits) + "'d";
   os << "  // ---- BIST controller ------------------------------------\n";
   os << "  localparam PATTERNS = " << patterns << ";\n";
   os << "  localparam N_SUBS = " << n_subs << ";\n";
-  os << "  reg [15:0] cycle;\n";
-  os << "  reg [7:0]  sub;\n";
+  os << "  reg [" << cycle_bits - 1 << ":0] cycle;\n";
+  os << "  reg [" << sub_bits - 1 << ":0]  sub;\n";
   os << "  reg        running;\n";
-  os << "  wire init_cycle = running && (cycle == 16'd0);\n";
-  os << "  wire test_cycle = running && (cycle >= 16'd1) && (cycle <= "
-        "PATTERNS);\n";
-  os << "  wire check_cycle = running && (cycle == PATTERNS + 16'd1);\n\n";
+  os << "  wire init_cycle = running && (cycle == " << cyc << "0);\n";
+  os << "  wire test_cycle = running && (cycle >= " << cyc
+     << "1) && (cycle <= PATTERNS);\n";
+  os << "  wire check_cycle = running && (cycle == PATTERNS + " << cyc
+     << "1);\n\n";
 
   // Register roles per sub-session (mode tables).
   const std::uint32_t taps = primitive_taps(width);
@@ -189,7 +175,7 @@ std::string emit_bist_verilog(const Datapath& dp,
   }
   os << "    case (sub)\n";
   for (std::size_t si = 0; si < subs.size(); ++si) {
-    os << "      8'd" << si << ": begin\n";
+    os << "      " << sub_lit << si << ": begin\n";
     // Roles this sub-session.
     std::map<std::size_t, char> role;  // 'g' tpg, 's' sa, 'c' cbilbo
     for (const auto& am : subs[si].active) {
@@ -214,12 +200,12 @@ std::string emit_bist_verilog(const Datapath& dp,
   // Register instances: CBILBO where the solution demands, BILBO elsewhere.
   os << "  // ---- registers -------------------------------------------\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    const auto& reg = dp.registers[r];
-    const std::string rn = verilog_ident(reg.name);
+    const std::string rn = verilog_ident(dp.registers[r].name);
     os << "  wire [" << width - 1 << ":0] " << rn << "_d;\n";
     os << "  wire [" << width - 1 << ":0] " << rn << "_q;\n";
     os << "  wire [2:0] mode_" << rn << " = bist_run ? bist_mode_" << rn
-       << " : (en_" << rn << " ? 3'd0 : 3'd1);\n";
+       << " : (" << find_port(ports, Kind::Enable, r)->name
+       << " ? 3'd0 : 3'd1);\n";
     if (solution.roles[r] == BistRole::Cbilbo) {
       os << "  wire [" << width - 1 << ":0] " << rn << "_pat;\n";
       os << "  lowbist_cbilbo #(.WIDTH(" << width << "), .TAPS(" << width
@@ -234,8 +220,9 @@ std::string emit_bist_verilog(const Datapath& dp,
          << rn << " (.clk(clk), .mode(mode_" << rn << "), .d(" << rn
          << "_d), .q(" << rn << "_q));\n";
     }
-    if (reg.drives_output) os << "  assign out_" << rn << " = " << rn
-                              << "_q;\n";
+    if (const DpPort* out = find_port(ports, Kind::Out, r)) {
+      os << "  assign " << out->name << " = " << rn << "_q;\n";
+    }
   }
   os << "\n";
 
@@ -250,72 +237,52 @@ std::string emit_bist_verilog(const Datapath& dp,
   }
   os << "\n";
 
-  // Test-mode port selects: index of the embedding TPG in the port list.
   os << "  // ---- functional units and port muxes ---------------------\n";
   for (std::size_t m = 0; m < dp.modules.size(); ++m) {
     const DpModule& mod = dp.modules[m];
     const std::string mn = verilog_ident(mod.name);
-    auto emit_port = [&](const char* suffix,
-                         const std::set<std::size_t>& sources,
-                         std::size_t tpg_reg_for_test) {
-      std::vector<std::size_t> srcs(sources.begin(), sources.end());
-      int test_sel = 0;
-      for (std::size_t i = 0; i < srcs.size(); ++i) {
-        if (srcs[i] == tpg_reg_for_test) test_sel = static_cast<int>(i);
+    const std::optional<BistEmbedding>& e = solution.embeddings[m];
+    for (const auto& [side, kind, sources, tpg] :
+         {std::tuple{"_l", Kind::LeftSelect, &mod.left_sources,
+                     e ? e->tpg_left : *mod.left_sources.begin()},
+          std::tuple{"_r", Kind::RightSelect, &mod.right_sources,
+                     e ? e->tpg_right : *mod.right_sources.begin()}}) {
+      std::vector<std::string> inputs;
+      for (std::size_t r : *sources) {
+        inputs.push_back(verilog_ident(dp.registers[r].name) + "_src");
       }
-      os << "  wire [3:0] " << mn << "_" << suffix
-         << "_sel = bist_run ? 4'd" << test_sel << " : sel_" << mn << "_"
-         << suffix << ";\n";
-      os << "  wire [" << width - 1 << ":0] " << mn << "_" << suffix
-         << " = ";
-      for (std::size_t i = 0; i + 1 < srcs.size(); ++i) {
-        os << "(" << mn << "_" << suffix << "_sel == " << i << ") ? "
-           << verilog_ident(dp.registers[srcs[i]].name) << "_src : ";
+      // In test mode the select steers the embedding's TPG to the port.
+      std::string select;
+      if (const DpPort* sel = find_port(ports, kind, m)) {
+        const auto it = sources->find(tpg);
+        select = mn + side + "_sel";
+        os << "  wire " << sel->range() << select << " = bist_run ? "
+           << sel->width << "'d"
+           << (it == sources->end() ? 0 : std::distance(sources->begin(), it))
+           << " : " << sel->name << ";\n";
       }
-      os << verilog_ident(dp.registers[srcs.back()].name) << "_src;\n";
-    };
-    const bool testable = solution.embeddings[m].has_value();
-    emit_port("l", mod.left_sources,
-              testable ? solution.embeddings[m]->tpg_left
-                       : *mod.left_sources.begin());
-    emit_port("r", mod.right_sources,
-              testable ? solution.embeddings[m]->tpg_right
-                       : *mod.right_sources.begin());
+      os << "  wire [" << width - 1 << ":0] " << mn << side << " = "
+         << mux_expr(select, inputs) << ";\n";
+    }
 
-    if (mod.proto.supports.size() == 1) {
-      os << "  wire [" << width - 1 << ":0] " << mn << "_y = " << mn
-         << "_l " << verilog_op(mod.proto.supports[0]) << " " << mn
-         << "_r;\n";
-    } else {
+    if (const DpPort* op = find_port(ports, Kind::Op, m)) {
       // In test mode the controller sequences the function slots.
-      os << "  reg [3:0] " << mn << "_op_test;\n";
-      os << "  always @(*) begin\n    " << mn << "_op_test = 4'd0;\n"
-         << "    case (sub)\n";
+      const std::string op_lit = std::to_string(op->width) + "'d";
+      os << "  reg " << op->range() << mn << "_op_test;\n";
+      os << "  always @(*) begin\n    " << mn << "_op_test = " << op_lit
+         << "0;\n    case (sub)\n";
       for (std::size_t si = 0; si < subs.size(); ++si) {
         for (const auto& am : subs[si].active) {
           if (am.module != m) continue;
-          for (std::size_t k = 0; k < mod.proto.supports.size(); ++k) {
-            if (mod.proto.supports[k] == am.kind) {
-              os << "      8'd" << si << ": " << mn << "_op_test = 4'd" << k
-                 << ";\n";
-            }
-          }
+          os << "      " << sub_lit << si << ": " << mn << "_op_test = "
+             << op_lit << kind_index(mod.proto, am.kind) << ";\n";
         }
       }
       os << "      default: ;\n    endcase\n  end\n";
-      os << "  wire [3:0] " << mn << "_op = bist_run ? " << mn
-         << "_op_test : op_" << mn << ";\n";
-      os << "  reg [" << width - 1 << ":0] " << mn << "_y_r;\n";
-      os << "  always @(*) begin\n    case (" << mn << "_op)\n";
-      for (std::size_t k = 0; k < mod.proto.supports.size(); ++k) {
-        os << "      4'd" << k << ": " << mn << "_y_r = " << mn << "_l "
-           << verilog_op(mod.proto.supports[k]) << " " << mn << "_r;\n";
-      }
-      os << "      default: " << mn << "_y_r = {" << width << "{1'b0}};\n";
-      os << "    endcase\n  end\n";
-      os << "  wire [" << width - 1 << ":0] " << mn << "_y = " << mn
-         << "_y_r;\n";
+      os << "  wire " << op->range() << mn << "_op = bist_run ? " << mn
+         << "_op_test : " << op->name << ";\n";
     }
+    os << function_unit(dp, ports, m, mn + "_op", width);
   }
   os << "\n";
 
@@ -323,48 +290,32 @@ std::string emit_bist_verilog(const Datapath& dp,
   // observation in test mode.
   os << "  // ---- register input muxes --------------------------------\n";
   for (std::size_t r = 0; r < dp.registers.size(); ++r) {
-    const auto& reg = dp.registers[r];
-    const std::string rn = verilog_ident(reg.name);
-    std::vector<std::string> inputs;
-    for (std::size_t msrc : reg.source_modules) {
-      inputs.push_back(verilog_ident(dp.modules[msrc].name) + "_y");
-    }
-    if (reg.external_source || reg.dedicated_input) {
-      inputs.push_back("load_" + rn);
-    }
-    if (inputs.empty()) inputs.push_back(rn + "_q");
+    const std::string rn = verilog_ident(dp.registers[r].name);
     // In test mode an SA register compacts the module the current
     // sub-session assigns to it.
-    std::ostringstream test_d;
-    bool has_test_source = false;
-    for (std::size_t si = 0; si < subs.size() && !has_test_source; ++si) {
+    std::ostringstream test_cases;
+    for (std::size_t si = 0; si < subs.size(); ++si) {
       for (const auto& am : subs[si].active) {
         const auto& e = *solution.embeddings[am.module];
-        if (e.sa.has_value() && *e.sa == r) has_test_source = true;
+        if (e.sa.has_value() && *e.sa == r) {
+          test_cases << "      " << sub_lit << si << ": " << rn
+                     << "_test_d = "
+                     << verilog_ident(dp.modules[am.module].name) << "_y;\n";
+        }
       }
     }
+    const bool has_test_source = !test_cases.str().empty();
     if (has_test_source) {
       os << "  reg [" << width - 1 << ":0] " << rn << "_test_d;\n";
       os << "  always @(*) begin\n    " << rn << "_test_d = {" << width
-         << "{1'b0}};\n    case (sub)\n";
-      for (std::size_t si = 0; si < subs.size(); ++si) {
-        for (const auto& am : subs[si].active) {
-          const auto& e = *solution.embeddings[am.module];
-          if (e.sa.has_value() && *e.sa == r) {
-            os << "      8'd" << si << ": " << rn << "_test_d = "
-               << verilog_ident(dp.modules[am.module].name) << "_y;\n";
-          }
-        }
-      }
-      os << "      default: ;\n    endcase\n  end\n";
+         << "{1'b0}};\n    case (sub)\n"
+         << test_cases.str() << "      default: ;\n    endcase\n  end\n";
     }
     os << "  assign " << rn << "_d = ";
     if (has_test_source) os << "bist_run ? " << rn << "_test_d : ";
-    os << "(";
-    for (std::size_t i = 0; i + 1 < inputs.size(); ++i) {
-      os << "(sel_" << rn << " == " << i << ") ? " << inputs[i] << " : ";
-    }
-    os << inputs.back() << ");\n";
+    const DpPort* sel = find_port(ports, Kind::Select, r);
+    os << "(" << mux_expr(sel ? sel->name : "", register_mux_inputs(dp, r))
+       << ");\n";
   }
   os << "\n";
 
@@ -372,13 +323,14 @@ std::string emit_bist_verilog(const Datapath& dp,
   os << "  // ---- sequencing and signature check ----------------------\n";
   os << "  always @(posedge clk) begin\n";
   os << "    if (rst || !bist_run) begin\n";
-  os << "      cycle <= 16'd0; sub <= 8'd0; running <= bist_run;\n";
+  os << "      cycle <= " << cyc << "0; sub <= " << sub_lit
+     << "0; running <= bist_run;\n";
   os << "      bist_done <= 1'b0; bist_pass <= 1'b1;\n";
   os << "    end else if (running) begin\n";
   os << "      if (check_cycle) begin\n";
   os << "        case (sub)\n";
   for (std::size_t si = 0; si < subs.size(); ++si) {
-    os << "          8'd" << si << ": begin\n";
+    os << "          " << sub_lit << si << ": begin\n";
     for (const auto& am : subs[si].active) {
       const auto& e = *solution.embeddings[am.module];
       if (!e.sa.has_value()) continue;
@@ -389,14 +341,14 @@ std::string emit_bist_verilog(const Datapath& dp,
     os << "          end\n";
   }
   os << "          default: ;\n        endcase\n";
-  os << "        cycle <= 16'd0;\n";
-  os << "        if (sub + 8'd1 == N_SUBS) begin\n";
+  os << "        cycle <= " << cyc << "0;\n";
+  os << "        if (sub + " << sub_lit << "1 == N_SUBS) begin\n";
   os << "          running <= 1'b0; bist_done <= 1'b1;\n";
   os << "        end else begin\n";
-  os << "          sub <= sub + 8'd1;\n";
+  os << "          sub <= sub + " << sub_lit << "1;\n";
   os << "        end\n";
   os << "      end else begin\n";
-  os << "        cycle <= cycle + 16'd1;\n";
+  os << "        cycle <= cycle + " << cyc << "1;\n";
   os << "      end\n";
   os << "    end\n";
   os << "  end\n";

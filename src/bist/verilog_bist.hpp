@@ -11,7 +11,8 @@
 //   lowbist_cbilbo  — concurrent BILBO: generator and compactor halves.
 //   <name>_bist     — the data path with test registers and a `bist_run`
 //                     port; functional behaviour is preserved when
-//                     bist_run = 0.
+//                     bist_run = 0.  Its functional ports are exactly
+//                     emit_verilog's (datapath_ports, rtl/controller.hpp).
 //
 // Transparency-extended solutions are rejected (their session sequencing
 // needs per-path identity constants; run those plans in the C++ engine).

@@ -291,9 +291,9 @@ class OracleRun {
   }
 
   /// The BIST-aware binder against the full scan it replaced, at every
-  /// size: the arm's own binding (its recording sink makes the binder scan
-  /// in index order) and a sink-less run (the SD-ordered scan) must both
-  /// equal the reference register for register, members in order.
+  /// size: the arm's own binding (under its recording sink, which visits
+  /// the rest of each scan after the decision) and a sink-less run must
+  /// both equal the reference register for register, members in order.
   void check_binder_reference(const SynthesisOptions& so,
                               const SynthesisResult& result) {
     const VarConflictGraph cg = build_conflict_graph(dfg_, result.lifetimes);
@@ -302,8 +302,8 @@ class OracleRun {
     const RegisterBinding fast =
         bind_registers_bist_aware(dfg_, cg, result.modules, so.bist_binder);
     for (const auto& [scan, got] :
-         {std::pair{"index-order", &result.registers},
-          std::pair{"SD-ordered", &fast}}) {
+         {std::pair{"recorded", &result.registers},
+          std::pair{"sink-less", &fast}}) {
       if (got->regs == want.regs) continue;
       std::size_t r = 0;
       while (r < got->regs.size() && r < want.regs.size() &&

@@ -31,10 +31,10 @@
 //                           embeddings of a greedy over the full embedding
 //                           product (transparent paths too on designs
 //                           within `deep_check_max_ops`)
-//   binder-reference:bist   the BIST-aware binder, scanning registers in
-//                           SD order and in index order, returns exactly
-//                           the binding of a binder that tests every open
-//                           register for every variable
+//   binder-reference:bist   the BIST-aware binder, with and without a
+//                           recording sink, returns exactly the binding
+//                           of a binder that tests every open register
+//                           for every variable
 //   report-consistency      the JSON report round-trips and its metrics
 //                           equal the synthesis result
 //   snapshot-roundtrip      every stage-boundary IR snapshot (src/passes)

@@ -1,6 +1,8 @@
 #include "hybrid/eval.hpp"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "support/check.hpp"
@@ -10,6 +12,19 @@ namespace lbist {
 namespace {
 
 constexpr double kSeedLimit = 9007199254740992.0;  // 2^53
+
+/// Reads the integer field `key` of `j` into `out` when present, refusing
+/// (and naming the field) a value that is not an integer in [lo, hi].
+void read_int(const Json& j, const std::string& key, int lo, int hi,
+              int& out) {
+  const Json* v = j.find(key);
+  if (v == nullptr) return;
+  const double d = v->is_number() ? v->as_number() : std::nan("");
+  LBIST_CHECK(d == std::floor(d) && d >= lo && d <= hi,
+              key + " must be an integer in " + std::to_string(lo) + ".." +
+                  std::to_string(hi));
+  out = static_cast<int>(d);
+}
 
 HybridMode mode_from_name(const std::string& name) {
   if (name == "pseudo-random") return HybridMode::PseudoRandom;
@@ -40,17 +55,16 @@ HybridConfig hybrid_config_from_json(const Json& j) {
   if (const Json* mode = j.find("mode")) {
     config.mode = mode_from_name(mode->as_string());
   }
-  if (const Json* v = j.find("pr_patterns")) config.pr_patterns = v->as_int();
-  if (const Json* v = j.find("max_reseeds")) config.max_reseeds = v->as_int();
-  if (const Json* v = j.find("reseed_burst")) {
-    config.reseed_burst = v->as_int();
-  }
-  if (const Json* v = j.find("evolve_population")) {
-    config.evolve.population = v->as_int();
-  }
-  if (const Json* v = j.find("evolve_generations")) {
-    config.evolve.generations = v->as_int();
-  }
+  // The pseudo-random phase, each reseed burst and the GA's population x
+  // (generations + 1) gate sessions run inline on a server shard loop, so
+  // a posted config cannot ask for billions.  65,535 clocks is the LFSR
+  // period at width 16: that cap changes nothing up to that width.
+  read_int(j, "pr_patterns", 1, 65535, config.pr_patterns);
+  read_int(j, "max_reseeds", 0, std::numeric_limits<int>::max(),
+           config.max_reseeds);
+  read_int(j, "reseed_burst", 1, 65535, config.reseed_burst);
+  read_int(j, "evolve_population", 2, 64, config.evolve.population);
+  read_int(j, "evolve_generations", 0, 64, config.evolve.generations);
   if (const Json* v = j.find("evolve_seed")) {
     // JSON numbers are doubles: every integer below 2^53 parses exactly,
     // but a posted 2^53 + 1 parses as 2^53, so 2^53 is refused too.  What
@@ -62,22 +76,6 @@ HybridConfig hybrid_config_from_json(const Json& j) {
                 "evolve_seed must be an integer in [0, 2^53)");
     config.evolve.seed = static_cast<std::uint64_t>(seed);
   }
-  // The pseudo-random phase and each reseed burst run inline on a server
-  // shard loop too.  65,535 clocks is the LFSR period at width 16, so the
-  // cap changes nothing up to that width and keeps a posted config from
-  // asking a 32-bit design for billions of patterns.
-  LBIST_CHECK(config.pr_patterns >= 1 && config.pr_patterns <= 65535,
-              "pr_patterns must be in 1..65535");
-  LBIST_CHECK(config.max_reseeds >= 0, "max_reseeds must be non-negative");
-  LBIST_CHECK(config.reseed_burst >= 1 && config.reseed_burst <= 65535,
-              "reseed_burst must be in 1..65535");
-  // The GA runs population x (generations + 1) gate sessions inline on a
-  // server shard loop; keep a posted config from asking for billions.
-  LBIST_CHECK(config.evolve.population >= 2 && config.evolve.population <= 64,
-              "evolve_population must be in 2..64");
-  LBIST_CHECK(
-      config.evolve.generations >= 0 && config.evolve.generations <= 64,
-      "evolve_generations must be in 0..64");
   return config;
 }
 

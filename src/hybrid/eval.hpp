@@ -3,8 +3,7 @@
 // passes on a SynthState (e.g. one restored from a posted IR snapshot),
 // grades the resulting BIST plan under one hybrid configuration, and
 // stores the report in the state's `aux["hybrid"]` slot so a re-snapshot
-// carries it.  This is what the server's {"type":"hybrid"} request and
-// the CLI resume path call.
+// carries it.  The server's {"type":"hybrid"} request calls it.
 
 #include "hybrid/session.hpp"
 #include "passes/pipeline.hpp"
@@ -15,10 +14,10 @@ namespace lbist {
 [[nodiscard]] Json hybrid_config_to_json(const HybridConfig& config);
 
 /// Inverse of hybrid_config_to_json; missing fields keep their defaults.
-/// Throws lbist::Error on an unknown mode name or an out-of-range field
-/// (pr_patterns or reseed_burst outside 1..65535, evolve_population
-/// outside 2..64, evolve_generations outside 0..64, evolve_seed not an
-/// integer in [0, 2^53)), naming the field.
+/// Throws lbist::Error on an unknown mode name or a field that is not an
+/// integer in its range (pr_patterns and reseed_burst 1..65535,
+/// max_reseeds non-negative, evolve_population 2..64, evolve_generations
+/// 0..64, evolve_seed [0, 2^53)), naming the field.
 [[nodiscard]] HybridConfig hybrid_config_from_json(const Json& j);
 
 /// Serializes a session result (aggregates + per-module breakdown).

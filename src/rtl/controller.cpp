@@ -1,7 +1,9 @@
 #include "rtl/controller.hpp"
 
 #include <algorithm>
+#include <tuple>
 
+#include "rtl/verilog.hpp"
 #include "support/check.hpp"
 
 namespace lbist {
@@ -38,6 +40,77 @@ std::vector<int> Controller::register_sources(const Datapath& dp,
   }
   if (dp.registers[r].external_source) sources.push_back(-1);  // external
   return sources;
+}
+
+int select_bits(std::size_t n_inputs) {
+  int bits = 1;
+  while ((std::size_t{1} << bits) < n_inputs) ++bits;
+  return bits;
+}
+
+std::optional<int> DpPort::value(const Datapath& dp,
+                                 const ControlWord& word) const {
+  LBIST_CHECK(is_control(), "port " + name + " is not a control input");
+  if (kind == Kind::Enable || kind == Kind::Select) {
+    const RegControl& rc = word.regs[owner];
+    if (!rc.enable) return std::nullopt;
+    return kind == Kind::Enable ? 1 : rc.select;
+  }
+  const ModuleControl& mc = word.modules[owner];
+  if (!mc.active) return std::nullopt;
+  if (kind == Kind::Op) return kind_index(dp.modules[owner].proto, mc.op);
+  return kind == Kind::LeftSelect ? mc.left_select : mc.right_select;
+}
+
+std::vector<DpPort> datapath_ports(const Datapath& dp, int width) {
+  using Kind = DpPort::Kind;
+  std::vector<DpPort> ports;
+  auto add = [&](Kind kind, std::size_t owner, std::string name, int bits) {
+    ports.push_back(DpPort{kind, owner, std::move(name), bits});
+  };
+  for (std::size_t r = 0; r < dp.registers.size(); ++r) {
+    const DpRegister& reg = dp.registers[r];
+    const std::string rn = verilog_ident(reg.name);
+    const std::vector<int> sources = Controller::register_sources(dp, r);
+    if (!sources.empty() && sources.back() < 0) {
+      add(Kind::Load, r, "load_" + rn, width);
+    }
+    add(Kind::Enable, r, "en_" + rn, 1);
+    if (sources.size() > 1) {
+      add(Kind::Select, r, "sel_" + rn, select_bits(sources.size()));
+    }
+    if (reg.drives_output) add(Kind::Out, r, "out_" + rn, width);
+  }
+  for (std::size_t m = 0; m < dp.modules.size(); ++m) {
+    const DpModule& mod = dp.modules[m];
+    const std::string mn = verilog_ident(mod.name);
+    for (const auto& [kind, side, sources] :
+         {std::tuple{Kind::LeftSelect, "_l", &mod.left_sources},
+          std::tuple{Kind::RightSelect, "_r", &mod.right_sources}}) {
+      if (sources->size() > 1) {
+        add(kind, m, "sel_" + mn + side, select_bits(sources->size()));
+      }
+    }
+    if (mod.proto.supports.size() > 1) add(Kind::Op, m, "op_" + mn, 4);
+    if (mod.drives_control) add(Kind::Ctrl, m, "ctrl_" + mn, 1);
+  }
+  return ports;
+}
+
+const DpPort* find_port(const std::vector<DpPort>& ports, DpPort::Kind kind,
+                        std::size_t owner) {
+  // datapath_ports orders register ports before module ports, then by
+  // owner, then by kind.
+  auto key = [](DpPort::Kind k, std::size_t o) {
+    return std::tuple(k >= DpPort::Kind::LeftSelect, o, k);
+  };
+  const auto it = std::ranges::lower_bound(
+      ports, key(kind, owner), {},
+      [&](const DpPort& p) { return key(p.kind, p.owner); });
+  if (it == ports.end() || it->kind != kind || it->owner != owner) {
+    return nullptr;
+  }
+  return &*it;
 }
 
 Controller Controller::generate(const Dfg& dfg, const Schedule& sched,

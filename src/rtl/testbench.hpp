@@ -16,8 +16,10 @@
 namespace lbist {
 
 /// Emits a testbench module named `<datapath>_tb` for the module produced
-/// by emit_verilog(dp, width).  `inputs` must be the vector used to obtain
-/// `sim` from simulate_datapath.
+/// by emit_verilog(dp, width): it declares and connects every port of
+/// datapath_ports(dp, width) at its width and drives the control ports
+/// with each step's DpPort::value.  `inputs` must be the vector used to
+/// obtain `sim` from simulate_datapath.
 [[nodiscard]] std::string emit_testbench(
     const Dfg& dfg, const Datapath& dp, const Controller& ctl,
     const IdMap<VarId, std::uint32_t>& inputs, const SimResult& sim,

@@ -13,7 +13,10 @@
 
 namespace lbist {
 
-/// Emits module `<name>_ctrl` matching emit_verilog(dp, width)'s ports.
+/// Emits module `<name>_ctrl`, whose outputs are exactly the control inputs
+/// (en, sel, op) of datapath_ports(dp, width), at their widths, driven
+/// with each step's DpPort::value.  The step counter is 16 bits, or wider
+/// when the last step needs it.
 [[nodiscard]] std::string emit_controller_verilog(const Datapath& dp,
                                                   const Controller& ctl);
 

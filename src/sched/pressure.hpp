@@ -7,7 +7,7 @@
 // toward operations that *kill* live values (their operands see their last
 // use) and away from operations that create long-lived ones, shrinking the
 // peak live count — often one register below the plain list schedule on
-// filter workloads (see sched_test and bench_scaling).
+// filter workloads (see sched_test).
 
 #include "sched/list_sched.hpp"
 

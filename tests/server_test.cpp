@@ -610,6 +610,11 @@ TEST(ServerEndToEnd, InexactPostedNumbersAreRejectedAndShardStaysUp) {
       {"evolve_seed", "18446744073709551615"},
       {"evolve_seed", "1.5"},
       {"evolve_seed", "9007199254740993"},
+      {"pr_patterns", "1.5"},
+      {"max_reseeds", "1e30"},
+      {"reseed_burst", "1e30"},
+      {"evolve_population", "2.5"},
+      {"evolve_generations", "0.5"},
       {"hz", "1e30"},
       {"hz", "1.5"},
   };
@@ -620,8 +625,9 @@ TEST(ServerEndToEnd, InexactPostedNumbersAreRejectedAndShardStaysUp) {
                  value + "}\n";
     } else {
       request += "{\"type\": \"hybrid\", \"config\": {\"mode\": \"evolved\", "
-                 "\"evolve_seed\": " +
-                 value + "}, \"snapshot\": " + snapshot + "}\n";
+                 "\"" +
+                 field + "\": " + value + "}, \"snapshot\": " + snapshot +
+                 "}\n";
     }
   }
   request += "{\"type\": \"health\"}\n";
@@ -651,6 +657,32 @@ TEST(ServerEndToEnd, InexactPostedNumbersAreRejectedAndShardStaysUp) {
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
   EXPECT_FALSE(obs::Profiler::instance().running());
+}
+
+// Error replies name source locations relative to the repository root,
+// not the build machine's checkout path.
+TEST(ServerEndToEnd, ErrorRepliesCarryNoBuildMachinePaths) {
+  const std::string request =
+      Json::object()
+          .set("type", Json::string("pass"))
+          .set("pass", Json::string("sched"))
+          .set("snapshot", Json::object())
+          .dump_compact() +
+      "\n";
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+  ASSERT_EQ(summary.responses, 1);
+  const Json reply = Json::parse(sorted_lines(out.str()).at(0));
+  EXPECT_EQ(reply.at("status").as_string(), "error");
+  const std::string& error = reply.at("error").as_string();
+  EXPECT_NE(error.find("not a lowbist IR snapshot"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("src/"), std::string::npos) << error;
+  EXPECT_EQ(error.find("/src/"), std::string::npos) << error;
 }
 
 // The health reply carries the build record so clients can detect

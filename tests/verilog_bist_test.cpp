@@ -129,5 +129,21 @@ TEST(BistVerilog, PatternBudgetIsPeriodCapped) {
   EXPECT_NE(v4.find("localparam PATTERNS = 15;"), std::string::npos);
 }
 
+// The sub-session clock counts 0..PATTERNS + 1.  At width 16 a 70,000
+// pattern budget caps at 65,535, so the counter needs 17 bits: at 16 it
+// would wrap to 0 before the signature check and re-seed the TPGs.
+TEST(BistVerilog, CountersHoldTheirLargestValue) {
+  Emitted e(make_ex1());
+  EXPECT_NE(e.verilog.find("  reg [15:0] cycle;"), std::string::npos);
+  EXPECT_NE(e.verilog.find("  reg [7:0]  sub;"), std::string::npos);
+  const Datapath& dp = e.row.testable.datapath;
+  const auto st = run_self_test(dp, e.row.testable.bist, 70000, 16);
+  const std::string v =
+      emit_bist_verilog(dp, e.row.testable.bist, st, 70000, 16);
+  EXPECT_NE(v.find("localparam PATTERNS = 65535;"), std::string::npos);
+  EXPECT_NE(v.find("  reg [16:0] cycle;"), std::string::npos);
+  EXPECT_NE(v.find("(cycle == PATTERNS + 17'd1)"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace lbist
