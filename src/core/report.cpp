@@ -1,6 +1,9 @@
 #include "core/report.hpp"
 
+#include <algorithm>
+
 #include "bist/roles.hpp"
+#include "passes/synth_state.hpp"
 
 namespace lbist {
 
@@ -93,26 +96,23 @@ Json comparison_json(const ComparisonRow& row) {
 
 Json sweep_json(const std::vector<DesignPoint>& points) {
   const auto front = pareto_front(points);
-  auto on_front = [&](std::size_t i) {
-    for (std::size_t f : front) {
-      if (f == i) return true;
-    }
-    return false;
-  };
   Json arr = Json::array();
   for (std::size_t i = 0; i < points.size(); ++i) {
     const DesignPoint& p = points[i];
+    const bool on_front =
+        std::find(front.begin(), front.end(), i) != front.end();
     arr.push_back(Json::object()
                       .set("label", Json::string(p.label))
+                      .set("binder", Json::string(binder_short_name(p.binder)))
                       .set("latency", Json::number(p.latency))
                       .set("registers", Json::number(p.num_registers))
-                      .set("muxes", Json::number(p.num_mux))
-                      .set("functional_area",
-                           Json::number(p.functional_area))
+                      .set("mux", Json::number(p.num_mux))
+                      .set("functional_area", Json::number(p.functional_area))
                       .set("bist_extra", Json::number(p.bist_extra))
                       .set("overhead_percent",
                            Json::number(p.overhead_percent))
-                      .set("pareto", Json::boolean(on_front(i))));
+                      .set("total_area", Json::number(p.total_area()))
+                      .set("pareto", Json::boolean(on_front)));
   }
   return arr;
 }

@@ -16,7 +16,8 @@ namespace lbist {
 /// Traditional-vs-testable comparison (one Table I row).
 [[nodiscard]] Json comparison_json(const ComparisonRow& row);
 
-/// A design-space sweep (one object per point, Pareto membership marked).
+/// A design-space sweep (`lowbist explore --json`): one object per point,
+/// with its binder's short name, its total area and its Pareto membership.
 [[nodiscard]] Json sweep_json(const std::vector<DesignPoint>& points);
 
 }  // namespace lbist

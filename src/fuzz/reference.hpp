@@ -10,10 +10,18 @@
 //                           open register for every variable
 //                           (`bind_registers_bist_aware` scans registers in
 //                           SD order and stops early)
+//   max_clique              Bron-Kerbosch with pivoting on any graph: the
+//                           exact clique number the chordal machinery gets
+//                           from a PVES, and the register-count lower bound
+//                           on a loop's non-chordal unit-conflict graph
+
+#include <cstddef>
+#include <vector>
 
 #include "binding/bist_aware_binder.hpp"
 #include "bist/allocator.hpp"
 #include "bist/area_model.hpp"
+#include "graph/undirected_graph.hpp"
 #include "rtl/datapath.hpp"
 
 namespace lbist {
@@ -33,5 +41,12 @@ namespace lbist {
 [[nodiscard]] RegisterBinding full_scan_bist_binding(
     const Dfg& dfg, const VarConflictGraph& cg, const ModuleBinding& mb,
     const BistBinderOptions& opts = {});
+
+/// Size of a maximum clique (exact; exponential worst case — intended for
+/// allocation-sized graphs).
+[[nodiscard]] std::size_t max_clique_size(const UndirectedGraph& g);
+
+/// One maximum clique's vertices, sorted.
+[[nodiscard]] std::vector<std::size_t> max_clique(const UndirectedGraph& g);
 
 }  // namespace lbist

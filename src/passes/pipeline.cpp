@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,20 +92,25 @@ Json index_set_json(const std::set<std::size_t>& s) {
   return arr;
 }
 
-std::set<std::size_t> index_set_from_json(const Json& arr) {
-  std::set<std::size_t> s;
-  for (std::size_t i = 0; i < arr.size(); ++i) {
-    const int v = arr.at(i).as_int();
-    LBIST_CHECK(v >= 0, "negative index in snapshot set");
-    s.insert(static_cast<std::size_t>(v));
-  }
-  return s;
+/// An index into a list of `bound` registers or modules; `field` names it
+/// in the error (e.g. "modules[0].left_sources").
+std::size_t index_from_json(const Json& v, std::size_t bound,
+                            const std::string& field) {
+  const int i = v.as_int();
+  LBIST_CHECK(i >= 0 && static_cast<std::size_t>(i) < bound,
+              "snapshot index out of range: " + field + " = " +
+                  std::to_string(i) + " (" + std::to_string(bound) +
+                  " available)");
+  return static_cast<std::size_t>(i);
 }
 
-std::size_t size_at(const Json& obj, const std::string& key) {
-  const int v = obj.at(key).as_int();
-  LBIST_CHECK(v >= 0, "negative index in snapshot: " + key);
-  return static_cast<std::size_t>(v);
+std::set<std::size_t> index_set_from_json(const Json& arr, std::size_t bound,
+                                          const std::string& field) {
+  std::set<std::size_t> s;
+  for (std::size_t i = 0; i < arr.size(); ++i) {
+    s.insert(index_from_json(arr.at(i), bound, field));
+  }
+  return s;
 }
 
 Json datapath_to_json(const Datapath& dp) {
@@ -157,8 +163,10 @@ Datapath datapath_from_json(const Json& j, const Dfg& dfg) {
   Datapath dp;
   dp.name = j.at("name").as_string();
   const Json& regs = j.at("registers");
+  const Json& mods = j.at("modules");
   for (std::size_t i = 0; i < regs.size(); ++i) {
     const Json& reg = regs.at(i);
+    const std::string at = "registers[" + std::to_string(i) + "].";
     DpRegister r;
     r.name = reg.at("name").as_string();
     const Json& vars = reg.at("vars");
@@ -169,14 +177,18 @@ Datapath datapath_from_json(const Json& j, const Dfg& dfg) {
       r.vars.push_back(VarId{static_cast<VarId::value_type>(v)});
     }
     r.dedicated_input = reg.at("dedicated_input").as_bool();
-    r.source_modules = index_set_from_json(reg.at("source_modules"));
+    r.source_modules = index_set_from_json(reg.at("source_modules"),
+                                           mods.size(), at + "source_modules");
     r.external_source = reg.at("external_source").as_bool();
+    LBIST_CHECK(!r.dedicated_input || r.external_source,
+                "snapshot " + at +
+                    "dedicated_input is set without external_source");
     r.drives_output = reg.at("drives_output").as_bool();
     dp.registers.push_back(std::move(r));
   }
-  const Json& mods = j.at("modules");
   for (std::size_t i = 0; i < mods.size(); ++i) {
     const Json& mod = mods.at(i);
+    const std::string at = "modules[" + std::to_string(i) + "].";
     DpModule m;
     m.name = mod.at("name").as_string();
     m.proto = proto_from_label(mod.at("proto").as_string());
@@ -187,13 +199,21 @@ Datapath datapath_from_json(const Json& j, const Dfg& dfg) {
                   "snapshot module references unknown operation");
       m.instances.push_back(OpId{static_cast<OpId::value_type>(op)});
     }
-    m.left_sources = index_set_from_json(mod.at("left_sources"));
-    m.right_sources = index_set_from_json(mod.at("right_sources"));
-    m.dest_registers = index_set_from_json(mod.at("dest_registers"));
+    m.left_sources = index_set_from_json(mod.at("left_sources"), regs.size(),
+                                         at + "left_sources");
+    m.right_sources = index_set_from_json(mod.at("right_sources"),
+                                          regs.size(), at + "right_sources");
+    m.dest_registers = index_set_from_json(
+        mod.at("dest_registers"), regs.size(), at + "dest_registers");
     m.drives_control = mod.at("drives_control").as_bool();
     dp.modules.push_back(std::move(m));
   }
-  dp.num_allocated = size_at(j, "num_allocated");
+  const int allocated = j.at("num_allocated").as_int();
+  LBIST_CHECK(
+      allocated >= 0 && static_cast<std::size_t>(allocated) <= regs.size(),
+      "snapshot num_allocated = " + std::to_string(allocated) +
+          " is outside 0.." + std::to_string(regs.size()));
+  dp.num_allocated = static_cast<std::size_t>(allocated);
   const Json& routes = j.at("routes");
   LBIST_CHECK(routes.size() == dfg.num_ops(),
               "snapshot route count does not match the design");
@@ -223,18 +243,30 @@ Json embedding_to_json(const BistEmbedding& e) {
   return j;
 }
 
-BistEmbedding embedding_from_json(const Json& j) {
+/// `at` prefixes the field names in errors ("embeddings[2].").  Modules
+/// are `module` and the transparent `*_through` wires; the rest are
+/// registers.
+BistEmbedding embedding_from_json(const Json& j, const Datapath& dp,
+                                  const std::string& at) {
+  const std::size_t regs = dp.registers.size();
+  const std::size_t mods = dp.modules.size();
+  auto index = [&](const char* key, std::size_t bound) {
+    return index_from_json(j.at(key), bound, at + key);
+  };
+  auto optional_index =
+      [&](const char* key, std::size_t bound) -> std::optional<std::size_t> {
+    if (!j.contains(key)) return std::nullopt;
+    return index(key, bound);
+  };
   BistEmbedding e;
-  e.module = size_at(j, "module");
-  e.tpg_left = size_at(j, "tpg_left");
-  e.tpg_right = size_at(j, "tpg_right");
-  if (j.contains("sa")) e.sa = size_at(j, "sa");
-  if (j.contains("left_through")) e.left_through = size_at(j, "left_through");
-  if (j.contains("right_through")) {
-    e.right_through = size_at(j, "right_through");
-  }
-  if (j.contains("left_via")) e.left_via = size_at(j, "left_via");
-  if (j.contains("right_via")) e.right_via = size_at(j, "right_via");
+  e.module = index("module", mods);
+  e.tpg_left = index("tpg_left", regs);
+  e.tpg_right = index("tpg_right", regs);
+  e.sa = optional_index("sa", regs);
+  e.left_through = optional_index("left_through", mods);
+  e.right_through = optional_index("right_through", mods);
+  e.left_via = optional_index("left_via", regs);
+  e.right_via = optional_index("right_via", regs);
   return e;
 }
 
@@ -260,28 +292,33 @@ Json bist_to_json(const BistSolution& bist) {
   return j;
 }
 
-BistSolution bist_from_json(const Json& j) {
+/// Restores the BIST solution of the data path `dp` the snapshot carries.
+BistSolution bist_from_json(const Json& j, const Datapath& dp) {
   BistSolution bist;
   const Json& roles = j.at("roles");
+  LBIST_CHECK(roles.size() == dp.registers.size(),
+              "snapshot BIST roles do not match the data path");
   for (std::size_t i = 0; i < roles.size(); ++i) {
     const int r = roles.at(i).as_int();
     LBIST_CHECK(r >= 0 && r <= 4, "snapshot BIST role out of range");
     bist.roles.push_back(static_cast<BistRole>(r));
   }
   const Json& embs = j.at("embeddings");
+  LBIST_CHECK(embs.size() == dp.modules.size(),
+              "snapshot BIST embeddings do not match the data path");
   for (std::size_t i = 0; i < embs.size(); ++i) {
     const Json& e = embs.at(i);
     if (e.is_null()) {
       bist.embeddings.push_back(std::nullopt);
     } else {
-      bist.embeddings.push_back(embedding_from_json(e));
+      bist.embeddings.push_back(embedding_from_json(
+          e, dp, "embeddings[" + std::to_string(i) + "]."));
     }
   }
   const Json& untestable = j.at("untestable_modules");
   for (std::size_t i = 0; i < untestable.size(); ++i) {
-    const int m = untestable.at(i).as_int();
-    LBIST_CHECK(m >= 0, "negative module index in snapshot");
-    bist.untestable_modules.push_back(static_cast<std::size_t>(m));
+    bist.untestable_modules.push_back(index_from_json(
+        untestable.at(i), dp.modules.size(), "untestable_modules"));
   }
   bist.extra_area = j.at("extra_area").as_number();
   bist.exact = j.at("exact").as_bool();
@@ -576,10 +613,8 @@ class BistPass final : public Pass {
   }
 
   void deserialize(const Json& ir, SynthState& state) const override {
-    state.result.bist = bist_from_json(ir.at("bist"));
-    LBIST_CHECK(state.result.bist.roles.size() ==
-                    state.result.datapath.registers.size(),
-                "snapshot BIST roles do not match the data path");
+    state.result.bist =
+        bist_from_json(ir.at("bist"), state.result.datapath);
     state.result.functional_area = ir.at("functional_area").as_number();
     state.result.overhead_percent = ir.at("overhead_percent").as_number();
   }

@@ -8,7 +8,6 @@
 #include "gates/module_builders.hpp"
 #include "core/compare.hpp"
 #include "gates/gate_selftest.hpp"
-#include "gates/techmap.hpp"
 #include "rtl/simulate.hpp"
 #include "support/check.hpp"
 
@@ -159,57 +158,6 @@ TEST(GateCoverage, MorePatternsNeverHurtEarly) {
   const auto few = simulate_gate_bist(mul, 16);
   const auto many = simulate_gate_bist(mul, 200);
   EXPECT_GE(many.detected, few.detected);
-}
-
-TEST(TechMap, NandOnlyAndEquivalent) {
-  for (OpKind kind : {OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Xor,
-                      OpKind::Lt}) {
-    ModuleNetlist m = build_module(kind, 4);
-    TechMapped mapped = map_to_nand(m.netlist);
-    // Only NAND cells (plus sources).
-    for (std::size_t i = 0; i < mapped.netlist.num_nodes(); ++i) {
-      const GateKind k = mapped.netlist.node(i).kind;
-      EXPECT_TRUE(k == GateKind::Nand || k == GateKind::Input ||
-                  k == GateKind::Const0 || k == GateKind::Const1)
-          << to_string(kind) << " node " << i;
-    }
-    // Exhaustive equivalence at width 4.
-    for (std::uint32_t a = 0; a < 16; ++a) {
-      for (std::uint32_t b = 0; b < 16; ++b) {
-        std::vector<std::uint64_t> bits(8, 0);
-        for (int i = 0; i < 4; ++i) {
-          bits[static_cast<std::size_t>(i)] = (a >> i) & 1u;
-          bits[static_cast<std::size_t>(i + 4)] = (b >> i) & 1u;
-        }
-        const auto ref = m.netlist.eval(bits);
-        const auto got = mapped.netlist.eval(bits);
-        ASSERT_EQ(ref.size(), got.size());
-        for (std::size_t o = 0; o < ref.size(); ++o) {
-          EXPECT_EQ(ref[o] & 1u, got[o] & 1u)
-              << to_string(kind) << " " << a << "," << b << " out " << o;
-        }
-      }
-    }
-  }
-}
-
-TEST(TechMap, NandCountsAreReasonable) {
-  // Naive mapping: XOR = 4 NANDs, AND = 2, OR = 3 -> a full adder costs
-  // ~15 cells, the 8-bit ripple adder ~113.
-  const std::size_t adder = nand_cells(OpKind::Add, 8);
-  EXPECT_GE(adder, 90u);
-  EXPECT_LE(adder, 130u);
-  // Multiplier stays quadratic after mapping.
-  EXPECT_GT(nand_cells(OpKind::Mul, 8), 4 * nand_cells(OpKind::Mul, 4));
-}
-
-TEST(TechMap, BufIsFree) {
-  GateNetlist nl;
-  const int a = nl.add_input();
-  const int buf = nl.add_gate(GateKind::Buf, a);
-  nl.mark_output(buf);
-  TechMapped mapped = map_to_nand(nl);
-  EXPECT_EQ(mapped.nand_count, 0u);
 }
 
 TEST(GateSelfTest, GradesEveryTestableModule) {

@@ -1,6 +1,7 @@
 // Unit tests for the graph library: undirected graphs, chordality, PVES
-// construction, elimination cliques, clique numbers, and conflict-graph
-// building (the edge set itself is checked in interval_test.cpp).
+// construction, elimination cliques, clique numbers (also against the
+// Bron-Kerbosch oracle in fuzz/reference), and conflict-graph building
+// (the edge set itself is checked in interval_test.cpp).
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,7 @@
 
 #include "dfg/benchmarks.hpp"
 #include "dfg/lifetime.hpp"
-#include "graph/bron_kerbosch.hpp"
+#include "fuzz/reference.hpp"
 #include "graph/chordal.hpp"
 #include "graph/conflict.hpp"
 #include "graph/interval.hpp"

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "binding/cbilbo_check.hpp"
-#include "core/chip.hpp"
 #include "core/compare.hpp"
 #include "core/report.hpp"
 #include "core/synthesizer.hpp"
@@ -147,44 +146,6 @@ TEST(SynthesizerOptions, AblationArmsRunEndToEnd) {
       EXPECT_EQ(result.num_registers(), 5);
       EXPECT_GT(result.overhead_percent, 0.0);
     }
-  }
-}
-
-TEST(ChipFacade, OneCallProducesEverything) {
-  auto bench = make_ex1();
-  ChipOptions opts;
-  SelfTestingChip chip = synthesize_chip(
-      print_dfg(bench.design.dfg, &*bench.design.schedule),
-      bench.module_spec, opts);
-  EXPECT_EQ(chip.synthesis.num_registers(), 3);
-  EXPECT_GT(chip.plan.avg_coverage, 0.9);
-  EXPECT_GT(chip.selftest.coverage(), 0.9);
-  EXPECT_NE(chip.datapath_verilog.find("module ex1 ("), std::string::npos);
-  EXPECT_NE(chip.controller_verilog.find("module ex1_ctrl ("),
-            std::string::npos);
-  EXPECT_NE(chip.testbench_verilog.find("module ex1_tb;"),
-            std::string::npos);
-  EXPECT_NE(chip.bist_verilog.find("module ex1_bist ("), std::string::npos);
-  const std::string s = chip.summary(bench.design.dfg);
-  EXPECT_NE(s.find("chip-level self-test:"), std::string::npos);
-}
-
-TEST(ChipFacade, RejectsUnscheduledText) {
-  EXPECT_THROW((void)synthesize_chip(
-                   "dfg t\ninput a b\nop add1 + a b -> c\noutput c\n",
-                   "1+"),
-               Error);
-}
-
-TEST(ChipFacade, RunsOnEveryPaperBenchmark) {
-  for (const auto& bench : paper_benchmarks()) {
-    ChipOptions opts;
-    opts.patterns = 100;
-    SelfTestingChip chip = synthesize_chip(
-        bench.design.dfg, *bench.design.schedule,
-        parse_module_spec(bench.module_spec), opts);
-    EXPECT_GT(chip.selftest.coverage(), 0.9) << bench.name;
-    EXPECT_FALSE(chip.bist_verilog.empty()) << bench.name;
   }
 }
 

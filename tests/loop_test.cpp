@@ -5,10 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "binding/loop_binder.hpp"
-#include "graph/bron_kerbosch.hpp"
 #include "bist/allocator.hpp"
 #include "dfg/benchmarks.hpp"
 #include "dfg/parse.hpp"
+#include "fuzz/reference.hpp"
 #include "interconnect/build_datapath.hpp"
 #include "rtl/controller.hpp"
 #include "rtl/simulate.hpp"

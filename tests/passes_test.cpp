@@ -208,6 +208,98 @@ TEST(Snapshot, RestoreRejectsMalformedDocuments) {
   }
 }
 
+/// `doc` with the value after the first `"key":` at or past `from`
+/// replaced by `value`.  The value is a flat array or a scalar.
+std::string replace_value(std::string doc, const std::string& key,
+                          const std::string& value, std::size_t from = 0) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = doc.find(tag, from);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << key << " in the snapshot";
+    return doc;
+  }
+  const std::size_t begin = at + tag.size();
+  const std::size_t end = doc[begin] == '['
+                              ? doc.find(']', begin) + 1
+                              : doc.find_first_of(",}", begin);
+  return doc.replace(begin, end - begin, value);
+}
+
+// Every register and module index a snapshot carries is checked against
+// the data path at restore, with an error naming the field.  Unchecked,
+// most of these edits read past the end of a vector when the snapshot is
+// resumed, graded or emitted.
+TEST(Snapshot, RestoreChecksEveryIndexItReads) {
+  const PassPipeline& pipeline = PassPipeline::standard();
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), {});
+  pipeline.run(state);
+  const std::size_t num_modules = state.result.datapath.modules.size();
+  ASSERT_LT(num_modules, state.result.datapath.registers.size());
+  const std::string snap = pipeline.snapshot(state).dump_compact();
+  ASSERT_NO_THROW((void)pipeline.restore(Json::parse(snap)));
+
+  auto expect_rejected = [&](const std::string& doc,
+                             const std::string& field) {
+    try {
+      (void)pipeline.restore(Json::parse(doc));
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const char* key : {"left_sources", "right_sources", "dest_registers"}) {
+    expect_rejected(replace_value(snap, key, "[99]"),
+                    std::string("modules[0].") + key);
+  }
+  expect_rejected(replace_value(snap, "source_modules", "[0,99]"),
+                  "registers[0].source_modules");
+  expect_rejected(replace_value(snap, "source_modules", "[-1]"),
+                  "registers[0].source_modules");
+  expect_rejected(replace_value(snap, "num_allocated", "99"),
+                  "num_allocated");
+
+  // A dedicated input register is loaded from outside by definition.
+  const std::size_t internal = snap.find("\"external_source\":false");
+  ASSERT_NE(internal, std::string::npos);
+  const std::size_t reg = snap.rfind("{\"name\"", internal);
+  expect_rejected(replace_value(snap, "dedicated_input", "true", reg),
+                  "dedicated_input");
+
+  // The first embedding's fields, present or not: `module` and the
+  // transparent `*_through` wires index modules, the rest registers.
+  const std::string embeddings = "\"embeddings\":[";
+  const std::size_t emb = snap.find(embeddings) + embeddings.size();
+  ASSERT_EQ(snap[emb], '{');
+  const std::size_t emb_end = snap.find('}', emb);
+  for (const auto& [key, bad] :
+       std::vector<std::pair<std::string, std::size_t>>{
+           {"module", 99},
+           {"tpg_left", 99},
+           {"tpg_right", 99},
+           {"sa", 99},
+           {"left_through", num_modules},
+           {"right_through", num_modules},
+           {"left_via", 99},
+           {"right_via", 99}}) {
+    std::string doc = snap;
+    const std::size_t at = snap.find("\"" + key + "\":", emb);
+    if (at < emb_end) {
+      doc = replace_value(snap, key, std::to_string(bad), emb);
+    } else {
+      doc.insert(emb + 1, "\"" + key + "\":" + std::to_string(bad) + ",");
+    }
+    expect_rejected(doc, "embeddings[0]." + key);
+  }
+  expect_rejected(replace_value(snap, "untestable_modules", "[99]"),
+                  "untestable_modules");
+  std::string one_too_many = snap;
+  one_too_many.insert(emb, "null,");
+  expect_rejected(one_too_many, "embeddings");
+}
+
 TEST(Snapshot, WriterRecordIsInformationalOnly) {
   // pass_cache_key must ignore "writer": two builds posting the same IR
   // share a server-side cache entry.

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/explorer.hpp"
 #include "core/report.hpp"
 #include "dfg/benchmarks.hpp"
+#include "passes/synth_state.hpp"
 #include "support/check.hpp"
 #include "support/json.hpp"
 
@@ -78,9 +82,22 @@ TEST(Report, SweepMarksParetoMembers) {
   auto points = explore_resource_budgets(
       fir, {{{OpKind::Mul, 1}, {OpKind::Add, 1}},
             {{OpKind::Mul, 4}, {OpKind::Add, 2}}});
-  const std::string s = sweep_json(points).dump();
+  const Json sweep = sweep_json(points);
+  const std::string s = sweep.dump();
   EXPECT_NE(s.find("\"pareto\": true"), std::string::npos);
-  EXPECT_NE(s.find("\"label\""), std::string::npos);
+  // The fields and their order are those of `lowbist explore --json`.
+  const std::vector<std::string> fields = {
+      "label",      "binder",          "latency",    "registers",
+      "mux",        "functional_area", "bist_extra", "overhead_percent",
+      "total_area", "pareto"};
+  ASSERT_EQ(sweep.size(), points.size());
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(sweep.at(i).keys(), fields) << i;
+    EXPECT_EQ(sweep.at(i).at("binder").as_string(),
+              binder_short_name(points[i].binder));
+    EXPECT_EQ(sweep.at(i).at("total_area").as_number(),
+              points[i].total_area());
+  }
 }
 
 }  // namespace

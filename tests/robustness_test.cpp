@@ -9,7 +9,6 @@
 #include "binding/clique_binder.hpp"
 #include "binding/enumerate.hpp"
 #include "binding/module_binding.hpp"
-#include "bist/aliasing.hpp"
 #include "bist/verilog_bist.hpp"
 #include "core/synthesizer.hpp"
 #include "dfg/benchmarks.hpp"
@@ -109,12 +108,6 @@ TEST(Robustness, BuildDatapathRequiresCompleteBinding) {
   RegisterBinding empty;
   empty.reg_of.assign(bench.design.dfg.num_vars(), RegId::invalid());
   EXPECT_THROW((void)build_datapath(bench.design.dfg, mb, empty), Error);
-}
-
-TEST(Robustness, AreaModelUnknownWidthsInLfsr) {
-  EXPECT_THROW((void)misr_aliasing_empirical(8, 0, 10, 1), Error);
-  EXPECT_THROW((void)misr_width_for_escape_probability(0.0), Error);
-  EXPECT_THROW((void)misr_width_for_escape_probability(1.5), Error);
 }
 
 TEST(Robustness, SynthesizerSurfacesSpecErrors) {

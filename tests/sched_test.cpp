@@ -4,12 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "dfg/benchmarks.hpp"
-#include "dfg/lifetime.hpp"
 #include "dfg/dfg.hpp"
 #include "sched/asap_alap.hpp"
 #include "sched/force_directed.hpp"
 #include "sched/list_sched.hpp"
-#include "sched/pressure.hpp"
 #include "support/check.hpp"
 
 namespace lbist {
@@ -133,40 +131,6 @@ TEST(ForceDirected, ExactLatencyOfCriticalPathWorks) {
   Dfg dfg = diamond();
   Schedule s = force_directed_schedule(dfg, 3);
   EXPECT_EQ(s.num_steps(), 3);
-}
-
-TEST(PressureSched, ValidAndHonorsLimits) {
-  Dfg fir = make_fir(8);
-  Schedule s = min_pressure_schedule(fir, {{OpKind::Mul, 2}, {OpKind::Add, 1}});
-  for (int step = 1; step <= s.num_steps(); ++step) {
-    int muls = 0, adds = 0;
-    for (OpId op : s.ops_in_step(fir, step)) {
-      muls += fir.op(op).kind == OpKind::Mul ? 1 : 0;
-      adds += fir.op(op).kind == OpKind::Add ? 1 : 0;
-    }
-    EXPECT_LE(muls, 2);
-    EXPECT_LE(adds, 1);
-  }
-}
-
-TEST(PressureSched, NeverMoreRegistersThanPlainList) {
-  for (int taps : {8, 16}) {
-    Dfg fir = make_fir(taps);
-    const ResourceLimits limits = {{OpKind::Mul, 2}, {OpKind::Add, 1}};
-    Schedule plain = list_schedule(fir, limits);
-    Schedule tight = min_pressure_schedule(fir, limits);
-    const int plain_live = max_live(fir, compute_lifetimes(fir, plain));
-    const int tight_live = max_live(fir, compute_lifetimes(fir, tight));
-    EXPECT_LE(tight_live, plain_live) << "taps " << taps;
-  }
-}
-
-TEST(PressureSched, LatticeChainStaysNarrow) {
-  Dfg lattice = make_lattice(6);
-  Schedule s = min_pressure_schedule(lattice, {{OpKind::Mul, 1},
-                                               {OpKind::Sub, 1}});
-  const int live = max_live(lattice, compute_lifetimes(lattice, s));
-  EXPECT_LE(live, 4);  // serial chain: a handful of values at a time
 }
 
 }  // namespace

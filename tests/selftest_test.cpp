@@ -1,10 +1,9 @@
-// Chip-level self-test engine and MISR aliasing analysis tests.
+// Chip-level self-test engine tests.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "bist/aliasing.hpp"
 #include "bist/fault_sim.hpp"
 #include "bist/selftest.hpp"
 #include "core/compare.hpp"
@@ -164,28 +163,6 @@ TEST(SelfTestPins, TransparencyExtendedPlansMatchPins) {
   EXPECT_EQ(transparent, 5);
   expect_pin(run_self_test(tseng1.testable.datapath, sol, 250, kWidth),
              {"Tseng1 transparent", 336, 335, 1, 0x026c93c815154029ULL});
-}
-
-TEST(Aliasing, AsymptoticIsTwoToMinusWidth) {
-  EXPECT_DOUBLE_EQ(misr_aliasing_asymptotic(8), 1.0 / 256.0);
-  EXPECT_DOUBLE_EQ(misr_aliasing_asymptotic(16), 1.0 / 65536.0);
-}
-
-TEST(Aliasing, EmpiricalMatchesAsymptoticForSmallWidth) {
-  // 4-bit MISR: expect ~1/16 = 6.25% aliasing over random error streams.
-  auto est = misr_aliasing_empirical(4, 64, 20000, 7);
-  EXPECT_NEAR(est.probability, 1.0 / 16.0, 0.02);
-}
-
-TEST(Aliasing, WiderMisrAliasesLess) {
-  auto narrow = misr_aliasing_empirical(4, 64, 5000, 7);
-  auto wide = misr_aliasing_empirical(12, 64, 5000, 7);
-  EXPECT_LT(wide.probability, narrow.probability);
-}
-
-TEST(Aliasing, WidthForEscapeProbability) {
-  EXPECT_EQ(misr_width_for_escape_probability(1e-3), 10);
-  EXPECT_EQ(misr_width_for_escape_probability(0.3), 2);
 }
 
 }  // namespace

@@ -461,6 +461,64 @@ TEST(ServerEndToEnd, HybridRequestEvaluatesAndCaches) {
             std::string::npos);
 }
 
+// A posted snapshot whose data path or BIST solution names a register
+// that does not exist gets an error naming the field, not an
+// out-of-bounds read on the shard, which goes on answering the same
+// connection.
+TEST(ServerEndToEnd, OutOfRangeSnapshotIndicesAreRejectedAndShardStaysUp) {
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), SynthesisOptions{});
+  const PassPipeline& pipeline = PassPipeline::standard();
+  auto edited = [&](const std::string& stage, const std::string& from,
+                    const std::string& to) {
+    pipeline.run(state, pipeline.index_of(stage) + 1);
+    std::string doc = pipeline.snapshot(state).dump_compact();
+    const std::size_t at = doc.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return Json::parse(doc.replace(at, doc.find_first_of("],", at) - at, to));
+  };
+  const Json at_interconnect =
+      edited("interconnect", "\"left_sources\":[", "\"left_sources\":[99");
+  const Json at_bist = edited("bist", "\"tpg_left\":", "\"tpg_left\":99");
+  const std::string request =
+      Json::object()
+          .set("type", Json::string("pass"))
+          .set("pass", Json::string("bist"))
+          .set("snapshot", at_interconnect)
+          .dump_compact() +
+      "\n" +
+      Json::object()
+          .set("type", Json::string("hybrid"))
+          .set("snapshot", at_bist)
+          .dump_compact() +
+      "\n{\"type\": \"health\"}\n";
+
+  Server server(ServerOptions{});
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  ASSERT_EQ(summary.responses, 3);
+  std::istringstream lines(out.str());
+  for (const char* field :
+       {"modules[0].left_sources", "embeddings[0].tpg_left"}) {
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    const Json rejected = Json::parse(line);
+    EXPECT_EQ(rejected.at("status").as_string(), "error");
+    EXPECT_NE(rejected.at("error").as_string().find(field), std::string::npos)
+        << rejected.at("error").as_string();
+  }
+  std::string last;
+  ASSERT_TRUE(std::getline(lines, last));
+  const Json health = Json::parse(last);
+  EXPECT_EQ(health.at("type").as_string(), "health");
+  EXPECT_EQ(health.at("status").as_string(), "ok");
+}
+
 // A hybrid config asking for a 2^31-candidate GA is refused with an error
 // naming the field, and the shard goes on answering the same connection.
 // Unbounded, such a request dies in pop.reserve with an uncaught

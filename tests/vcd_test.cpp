@@ -1,11 +1,9 @@
-// VCD waveform emission and gate-netlist cone analysis.
+// VCD waveform emission from a simulated data path.
 
 #include <gtest/gtest.h>
 
 #include "binding/bist_aware_binder.hpp"
 #include "dfg/benchmarks.hpp"
-#include "gates/cones.hpp"
-#include "gates/module_builders.hpp"
 #include "graph/conflict.hpp"
 #include "interconnect/build_datapath.hpp"
 #include "rtl/controller.hpp"
@@ -75,40 +73,6 @@ TEST(Vcd, OnlyChangesAreDumped) {
   const std::size_t worst = (static_cast<std::size_t>(f.ctl.num_steps()) +
                              1) * f.dp.registers.size();
   EXPECT_LT(lines, worst + 20);  // header + timestamps + sparse changes
-}
-
-TEST(Cones, BitwiseConesAreWidthTwo)  {
-  auto profile = cone_profile(build_bitwise(OpKind::And, 8).netlist);
-  EXPECT_EQ(profile.max_cone, 2u);
-  EXPECT_EQ(profile.min_cone, 2u);
-  EXPECT_EQ(profile.pseudo_exhaustive_patterns, 4u);
-}
-
-TEST(Cones, RippleAdderConesGrowLinearly) {
-  auto sizes = cone_sizes(build_adder(8).netlist);
-  ASSERT_EQ(sizes.size(), 8u);
-  // Output i depends on operand bits 0..i of both inputs.
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(sizes[i], 2 * (i + 1)) << "bit " << i;
-  }
-  auto profile = cone_profile(build_adder(8).netlist);
-  EXPECT_EQ(profile.max_cone, 16u);
-  EXPECT_EQ(profile.pseudo_exhaustive_patterns, 1u << 16);
-}
-
-TEST(Cones, MultiplierMsbSpansEverything) {
-  auto profile = cone_profile(build_multiplier(8).netlist);
-  // The top output bit depends on nearly all 16 operand bits.
-  EXPECT_GE(profile.max_cone, 14u);
-  EXPECT_EQ(profile.min_cone, 2u);  // LSB = a0 & b0
-}
-
-TEST(Cones, PseudoExhaustiveCapAt63) {
-  // A wide multiplier would need an impossible pattern count; the profile
-  // caps rather than overflows.
-  auto profile = cone_profile(build_multiplier(32).netlist);
-  EXPECT_GE(profile.max_cone, 60u);
-  EXPECT_EQ(profile.pseudo_exhaustive_patterns, ~std::uint64_t{0} >> 1);
 }
 
 }  // namespace

@@ -1068,27 +1068,7 @@ int cmd_explore(const CliOptions& cli) {
   }
 
   if (cli.json) {
-    const auto front = pareto_front(points);
-    Json arr = Json::array();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const DesignPoint& p = points[i];
-      const bool on_front =
-          std::find(front.begin(), front.end(), i) != front.end();
-      arr.push_back(Json::object()
-                        .set("label", Json::string(p.label))
-                        .set("binder",
-                             Json::string(binder_short_name(p.binder)))
-                        .set("latency", Json::number(p.latency))
-                        .set("registers", Json::number(p.num_registers))
-                        .set("mux", Json::number(p.num_mux))
-                        .set("functional_area", Json::number(p.functional_area))
-                        .set("bist_extra", Json::number(p.bist_extra))
-                        .set("overhead_percent",
-                             Json::number(p.overhead_percent))
-                        .set("total_area", Json::number(p.total_area()))
-                        .set("pareto", Json::boolean(on_front)));
-    }
-    std::cout << arr.dump() << "\n";
+    std::cout << sweep_json(points).dump() << "\n";
   } else {
     std::cout << describe_points(points);
   }
