@@ -116,13 +116,10 @@ Json evaluate_hybrid(SynthState& state, const HybridConfig& config) {
       run_hybrid_session(state.result.datapath, state.result.bist, config,
                          width, state.options().trace);
 
-  Json report = Json::object()
-                    .set("config", hybrid_config_to_json(config))
-                    .set("bist_area",
-                         Json::number(state.result.bist.extra_area))
-                    .set("result", hybrid_result_to_json(session));
-  state.aux["hybrid"] = report;
-  return report;
+  return Json::object()
+      .set("config", hybrid_config_to_json(config))
+      .set("bist_area", Json::number(state.result.bist.extra_area))
+      .set("result", hybrid_result_to_json(session));
 }
 
 }  // namespace lbist

@@ -1,9 +1,8 @@
 #pragma once
 // Optional post-pipeline hybrid evaluation: runs the remaining synthesis
-// passes on a SynthState (e.g. one restored from a posted IR snapshot),
-// grades the resulting BIST plan under one hybrid configuration, and
-// stores the report in the state's `aux["hybrid"]` slot so a re-snapshot
-// carries it.  The server's {"type":"hybrid"} request calls it.
+// passes on a SynthState (e.g. one restored from a posted IR snapshot)
+// and grades the resulting BIST plan under one hybrid configuration.  The
+// server's {"type":"hybrid"} request calls it.
 
 #include "hybrid/session.hpp"
 #include "passes/pipeline.hpp"
@@ -24,9 +23,9 @@ namespace lbist {
 [[nodiscard]] Json hybrid_result_to_json(const HybridSessionResult& result);
 
 /// Runs any passes `state` has not completed, evaluates `config` against
-/// the final BIST plan, records the report under `state.aux["hybrid"]`
-/// and returns it.  The report holds the config, the session result and
-/// the three sweep objectives (bist_area / fault_coverage / test_length).
+/// the final BIST plan and returns the report.  The report holds the
+/// config, the session result and the three sweep objectives (bist_area /
+/// fault_coverage / test_length).
 [[nodiscard]] Json evaluate_hybrid(SynthState& state,
                                    const HybridConfig& config);
 

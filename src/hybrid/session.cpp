@@ -207,10 +207,15 @@ KindOutcome compute_kind(OpKind kind, int width, std::uint32_t seed_l,
   return out;
 }
 
+/// Memo entries kept before the memo is cleared.  Every posted server
+/// config is a new key, so an unbounded memo grows for the life of the
+/// process; one grading of the paper designs needs 165 keys.
+constexpr std::size_t kMemoCap = 4096;
+
 /// Memoized compute_kind: the sweep revisits the same (kind, width, seeds,
 /// config) many times across binder arms and specs.  Values are
-/// deterministic functions of the key, so a cross-thread race at worst
-/// recomputes the identical value.
+/// deterministic functions of the key, so a cross-thread race or a clear
+/// at worst recomputes the identical value.
 KindOutcome compute_kind_cached(OpKind kind, int width, std::uint32_t seed_l,
                                 std::uint32_t seed_r,
                                 const HybridConfig& cfg,
@@ -237,6 +242,7 @@ KindOutcome compute_kind_cached(OpKind kind, int width, std::uint32_t seed_l,
   const KindOutcome out = compute_kind(kind, width, seed_l, seed_r, cfg,
                                        trace);
   std::lock_guard<std::mutex> lock(mu);
+  if (memo.size() >= kMemoCap) memo.clear();
   memo.emplace(key, out);
   return out;
 }

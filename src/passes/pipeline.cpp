@@ -679,11 +679,6 @@ Json PassPipeline::snapshot(const SynthState& state) const {
     passes_[i]->serialize(state, ir);
   }
   snap.set("ir", std::move(ir));
-  if (!state.aux.empty()) {
-    Json aux = Json::object();
-    for (const auto& [key, value] : state.aux) aux.set(key, value);
-    snap.set("aux", std::move(aux));
-  }
   return snap;
 }
 
@@ -707,11 +702,6 @@ SynthState PassPipeline::restore(const Json& snap) const {
     for (std::size_t i = 0; i <= last; ++i) {
       passes_[i]->deserialize(ir, state);
       state.completed = i + 1;
-    }
-  }
-  if (const Json* aux = snap.find("aux")) {
-    for (const std::string& key : aux->keys()) {
-      state.aux[key] = aux->at(key);
     }
   }
   return state;

@@ -14,7 +14,6 @@
 // copies.  A state restored from a snapshot owns its DFG/schedule (parsed
 // back from the snapshot's canonical textual design) via `owned_`.
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,7 +23,6 @@
 #include "core/synthesizer.hpp"
 #include "dfg/parse.hpp"
 #include "graph/conflict.hpp"
-#include "support/json.hpp"
 
 namespace lbist {
 
@@ -88,12 +86,6 @@ class SynthState {
 
   /// Number of pipeline passes completed so far (0 = fresh state).
   std::size_t completed = 0;
-
-  /// Auxiliary post-pipeline analysis results keyed by name (e.g. the
-  /// hybrid-BIST evaluation stores its report under "hybrid").  Never read
-  /// by the five passes; carried through snapshot/restore when non-empty,
-  /// so existing snapshots stay byte-identical.
-  std::map<std::string, Json> aux;
 
  private:
   std::unique_ptr<ParsedDfg> owned_;  ///< set only on the restore path

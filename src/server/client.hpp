@@ -13,7 +13,7 @@ namespace lbist {
 
 /// Response tallies from one client session.
 struct ClientSummary {
-  int responses = 0;  ///< lines received (job results + control replies)
+  int responses = 0;  ///< lines received (work replies + query replies)
   int ok = 0;         ///< lines with status "ok"
   int errors = 0;     ///< lines with status "error" (includes "overloaded")
 };

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <fstream>
 #include <ostream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -55,6 +56,51 @@ bool blank_or_comment(const std::string& line) {
   return first == std::string::npos || line[first] == '#';
 }
 
+/// An error reply to a work item: its leading reply fields, then the
+/// reason.
+Json error_reply(Json head, const char* error) {
+  head.set("status", Json::string("error")).set("error", Json::string(error));
+  return head;
+}
+
+/// (name, value) statistics of one cache tier, in the order the `metrics`
+/// reply lists them; the `prometheus` scrape mirrors them into gauges.
+using Stats = std::vector<std::pair<const char*, double>>;
+
+Stats cache_stats(const SynthesisCache& cache) {
+  const SynthesisCache::Stats cs = cache.stats();
+  const double lookups = static_cast<double>(cs.hits + cs.misses);
+  return {{"hits", static_cast<double>(cs.hits)},
+          {"misses", static_cast<double>(cs.misses)},
+          {"evictions", static_cast<double>(cs.evictions)},
+          {"size", static_cast<double>(cs.size)},
+          {"capacity", static_cast<double>(cs.capacity)},
+          {"persistent_hits", static_cast<double>(cache.persistent_hits())},
+          {"hit_rate",
+           lookups == 0.0 ? 0.0 : static_cast<double>(cs.hits) / lookups}};
+}
+
+Stats disk_stats(const DiskCache& disk) {
+  const DiskCache::Stats ds = disk.stats();
+  return {{"hits", static_cast<double>(ds.hits)},
+          {"misses", static_cast<double>(ds.misses)},
+          {"puts", static_cast<double>(ds.puts)},
+          {"evictions", static_cast<double>(ds.evictions)},
+          {"compactions", static_cast<double>(ds.compactions)},
+          {"dropped", static_cast<double>(ds.dropped)},
+          {"recovered", static_cast<double>(ds.recovered)},
+          {"entries", static_cast<double>(ds.entries)},
+          {"file_bytes", static_cast<double>(ds.file_bytes)},
+          {"live_bytes", static_cast<double>(ds.live_bytes)},
+          {"budget_bytes", static_cast<double>(ds.budget_bytes)}};
+}
+
+Json stats_json(const Stats& stats) {
+  Json out = Json::object();
+  for (const auto& [name, value] : stats) out.set(name, Json::number(value));
+  return out;
+}
+
 }  // namespace
 
 /// One accepted connection.  The owning shard loop is the only thread that
@@ -75,7 +121,7 @@ struct Server::Conn {
   bool read_open = true;
   std::uint32_t interest = 0;  ///< currently registered epoll interest
   int line_no = 0;
-  std::size_t next_job = 0;
+  std::size_t next_job = 0;  ///< index of the next work item
 
   // Shared with workers, guarded by out_mu.
   std::mutex out_mu;
@@ -83,7 +129,7 @@ struct Server::Conn {
   bool closed = false;    ///< socket retired; late responses are dropped
   bool overflow = false;  ///< outbound bound hit; disconnect as slow reader
 
-  /// Admitted-but-unanswered jobs on this connection.  The worker's
+  /// Admitted-but-unanswered work items on this connection.  The worker's
   /// release-decrement pairs with the loop's acquire-load: observing zero
   /// proves every response line is already in `outbound`.
   std::atomic<int> jobs_in_flight{0};
@@ -115,7 +161,7 @@ struct Server::Shard {
   std::string m_dirty_wakeups;
   std::string m_requests;
 
-  /// Jobs admitted through this shard's connections, still unanswered.
+  /// Work admitted through this shard's connections, still unanswered.
   std::atomic<int> in_flight{0};
   /// Largest pending outbound-buffer size seen at flush (loop thread only).
   std::size_t outbound_hwm = 0;
@@ -154,7 +200,7 @@ void Server::start() {
     cache_.attach_disk(disk_.get());
   }
   // Workers register with the sampling profiler as they start, so a
-  // {"type":"profile"} control request can arm them live.
+  // {"type":"profile"} query can arm them live.
   ThreadPool::set_thread_start_hook(
       [] { obs::Profiler::attach_current_thread(); });
   pool_ = std::make_unique<ThreadPool>(ThreadPool::resolve_jobs(opts_.jobs));
@@ -352,25 +398,21 @@ void Server::on_readable(Shard& shard, const std::shared_ptr<Conn>& conn) {
   char chunk[16384];
   bool peer_gone = false;
   try {
+    std::string line;
     while (conn->read_open) {
       const ssize_t n = ::recv(conn->sock.fd(), chunk, sizeof chunk, 0);
       if (n > 0) {
         conn->framer.feed(chunk, static_cast<std::size_t>(n));
-        process_pending_lines(conn);
+        while (conn->read_open && conn->framer.next(&line)) {
+          route_line(conn, std::move(line));
+        }
         continue;
       }
       if (n == 0) {
         // Clean end-of-requests (possibly a half-close: the peer still
         // reads responses).  Deliver a final unterminated line, then stop
         // reading; in-flight responses keep flowing until drained.
-        std::string line;
-        if (conn->framer.finish(&line)) {
-          ++conn->line_no;
-          if (!blank_or_comment(line) && !handle_control(conn.get(), line)) {
-            submit_job(conn, decode_manifest_line(conn->line_no, line),
-                       conn->next_job++);
-          }
-        }
+        if (conn->framer.finish(&line)) route_line(conn, std::move(line));
         conn->read_open = false;
         break;
       }
@@ -380,9 +422,9 @@ void Server::on_readable(Shard& shard, const std::shared_ptr<Conn>& conn) {
       break;
     }
   } catch (const Error& e) {
-    // Framing/manifest failure (oversized line, bad JSON): answer with a
-    // bare protocol error and stop reading; already-admitted responses
-    // still drain before the socket closes.
+    // Framing failure (oversized line): answer with a bare protocol error
+    // and stop reading; admitted work still answers before the socket
+    // closes.
     append_response(conn.get(), Json::object().set(
                                     "error", Json::string(e.what())));
     log_event(Json::object()
@@ -398,28 +440,49 @@ void Server::on_readable(Shard& shard, const std::shared_ptr<Conn>& conn) {
   flush_and_update(shard, conn);
 }
 
-void Server::process_pending_lines(const std::shared_ptr<Conn>& conn) {
-  std::string line;
-  while (conn->read_open && conn->framer.next(&line)) {
-    ++conn->line_no;
-    if (blank_or_comment(line)) continue;
-    if (handle_control(conn.get(), line)) continue;
-    submit_job(conn, decode_manifest_line(conn->line_no, line),
-               conn->next_job++);
-  }
-}
-
-bool Server::handle_control(Conn* conn, const std::string& line) {
-  std::string type;
+void Server::route_line(const std::shared_ptr<Conn>& conn, std::string line) {
+  ++conn->line_no;
+  if (blank_or_comment(line)) return;
+  // A JSON object with a string "type" is a typed request; any other line
+  // is a manifest job, and the manifest decoder reports what is wrong.
   Json doc;
+  const Json* type = nullptr;
   try {
     doc = Json::parse(line);
-    const Json* t = doc.find("type");
-    if (t == nullptr || !t->is_string()) return false;
-    type = t->as_string();
+    type = doc.find("type");
   } catch (const std::exception&) {
-    return false;  // not even JSON; let the manifest decoder report it
   }
+  if (type == nullptr || !type->is_string()) {
+    ManifestEntry entry = decode_manifest_line(conn->line_no, line);
+    const std::size_t index = conn->next_job++;
+    std::string name = display_name(entry, index);
+    Json head = Json::object()
+                    .set("job", Json::number(index))
+                    .set("name", Json::string(name));
+    submit(conn, index, std::move(name), std::move(head),
+           [this, entry = std::move(entry), index] {
+             return run_entry(entry, index, cache_, metrics_, opts_.trace,
+                              &events_);
+           });
+    return;
+  }
+  const std::string& kind = type->as_string();
+  if (kind != "pass" && kind != "hybrid") {
+    answer_query(conn.get(), kind, doc);
+    return;
+  }
+  const std::size_t index = conn->next_job++;
+  Json head = Json::object()
+                  .set("type", Json::string(kind))
+                  .set("job", Json::number(index));
+  submit(conn, index, kind, head,
+         [this, line = std::move(line), head] {
+           return run_on_snapshot(line, head);
+         });
+}
+
+void Server::answer_query(Conn* conn, const std::string& type,
+                          const Json& doc) {
   metrics_.counter("requests_control").inc();
   Json reply = Json::object().set("type", Json::string(type));
   if (type == "health") {
@@ -429,84 +492,8 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
         .set("max_queue", Json::number(opts_.max_queue))
         .set("workers", Json::number(pool_->size()))
         .set("build", build_info_json());
-  } else if (type == "pass") {
-    // Remote single-pass execution: restore the posted IR snapshot, run
-    // exactly the named pass, reply with the advanced snapshot.  Served
-    // inline on the shard loop (one pass is far cheaper than a full job)
-    // with its own LRU entry keyed on the writer-independent snapshot.
-    try {
-      const Json* name = doc.find("pass");
-      LBIST_CHECK(name != nullptr && name->is_string(),
-                  "pass request needs a \"pass\" name");
-      const Json* snap = doc.find("snapshot");
-      LBIST_CHECK(snap != nullptr && snap->is_object(),
-                  "pass request needs a \"snapshot\" object");
-      const PassPipeline& pipeline = PassPipeline::standard();
-      const std::size_t index = pipeline.index_of(name->as_string());
-      const std::string key = pass_cache_key(name->as_string(), *snap);
-      Json out;
-      if (auto cached = cache_.get(key)) {
-        out = std::move(*cached);
-      } else {
-        SynthState state = pipeline.restore(*snap);
-        LBIST_CHECK(
-            state.completed == index,
-            "snapshot stage \"" +
-                (state.completed == 0
-                     ? std::string("none")
-                     : std::string(
-                           pipeline.passes()[state.completed - 1]->name())) +
-                "\" is not the predecessor of pass \"" + name->as_string() +
-                "\"");
-        state.options().trace = opts_.trace;
-        state.options().events = &events_;
-        pipeline.run(state, index + 1);
-        out = pipeline.snapshot(state);
-        cache_.put(key, out);
-      }
-      reply.set("status", Json::string("ok"))
-          .set("pass", Json::string(name->as_string()))
-          .set("snapshot", std::move(out));
-    } catch (const std::exception& e) {
-      reply.set("status", Json::string("error"))
-          .set("error", Json::string(e.what()));
-    }
-  } else if (type == "hybrid") {
-    // Hybrid-BIST evaluation of a posted IR snapshot: restore, run every
-    // remaining pass, grade the allocated plan under the posted (or
-    // default) configuration.  Cached like {"type":"pass"} — the key drops
-    // the snapshot's writer record and canonicalizes the config, so
-    // clients on different builds share entries.
-    try {
-      const Json* snap = doc.find("snapshot");
-      LBIST_CHECK(snap != nullptr && snap->is_object(),
-                  "hybrid request needs a \"snapshot\" object");
-      const Json* cfg_json = doc.find("config");
-      const HybridConfig config = cfg_json != nullptr
-                                      ? hybrid_config_from_json(*cfg_json)
-                                      : HybridConfig{};
-      const std::string key = pass_cache_key(
-          "hybrid#" + hybrid_config_to_json(config).dump_compact(), *snap);
-      Json out;
-      if (auto cached = cache_.get(key)) {
-        out = std::move(*cached);
-      } else {
-        SynthState state = PassPipeline::standard().restore(*snap);
-        state.options().trace = opts_.trace;
-        state.options().events = &events_;
-        out = evaluate_hybrid(state, config);
-        cache_.put(key, out);
-      }
-      metrics_.counter("requests_hybrid").inc();
-      reply.set("status", Json::string("ok"))
-          .set("hybrid", std::move(out));
-    } catch (const std::exception& e) {
-      reply.set("status", Json::string("error"))
-          .set("error", Json::string(e.what()));
-    }
   } else if (type == "profile") {
-    // Live profile capture, answered inline on the shard loop like
-    // health/metrics: start arms every registered thread (shards +
+    // Live profile capture: start arms every registered thread (shards +
     // workers), dump drains and symbolizes without stopping, stop disarms.
     metrics_.counter("requests_profile").inc();
     const Json* a = doc.find("action");
@@ -554,36 +541,21 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
     reply.set("status", Json::string("ok")).set("metrics", metrics_json());
   } else if (type == "prometheus") {
     // Text exposition of the registry; cache statistics are mirrored into
-    // gauges first so one scrape carries everything.
-    const SynthesisCache::Stats cs = cache_.stats();
-    metrics_.gauge("cache.hits").set(static_cast<double>(cs.hits));
-    metrics_.gauge("cache.misses").set(static_cast<double>(cs.misses));
-    metrics_.gauge("cache.evictions").set(static_cast<double>(cs.evictions));
-    metrics_.gauge("cache.size").set(static_cast<double>(cs.size));
-    metrics_.gauge("cache.capacity").set(static_cast<double>(cs.capacity));
+    // gauges first so one scrape carries everything.  A scraper derives
+    // the hit rate itself, and persistent hits exist only with a disk
+    // cache.
+    for (const auto& [name, value] : cache_stats(cache_)) {
+      const std::string_view stat = name;
+      if (stat == "hit_rate" ||
+          (stat == "persistent_hits" && disk_ == nullptr)) {
+        continue;
+      }
+      metrics_.gauge(std::string("cache.") + name).set(value);
+    }
     if (disk_ != nullptr) {
-      const DiskCache::Stats ds = disk_->stats();
-      metrics_.gauge("cache.persistent_hits")
-          .set(static_cast<double>(cache_.persistent_hits()));
-      metrics_.gauge("diskcache.hits").set(static_cast<double>(ds.hits));
-      metrics_.gauge("diskcache.misses").set(static_cast<double>(ds.misses));
-      metrics_.gauge("diskcache.puts").set(static_cast<double>(ds.puts));
-      metrics_.gauge("diskcache.evictions")
-          .set(static_cast<double>(ds.evictions));
-      metrics_.gauge("diskcache.entries")
-          .set(static_cast<double>(ds.entries));
-      metrics_.gauge("diskcache.file_bytes")
-          .set(static_cast<double>(ds.file_bytes));
-      metrics_.gauge("diskcache.live_bytes")
-          .set(static_cast<double>(ds.live_bytes));
-      metrics_.gauge("diskcache.budget_bytes")
-          .set(static_cast<double>(ds.budget_bytes));
-      metrics_.gauge("diskcache.compactions")
-          .set(static_cast<double>(ds.compactions));
-      metrics_.gauge("diskcache.dropped")
-          .set(static_cast<double>(ds.dropped));
-      metrics_.gauge("diskcache.recovered")
-          .set(static_cast<double>(ds.recovered));
+      for (const auto& [name, value] : disk_stats(*disk_)) {
+        metrics_.gauge(std::string("diskcache.") + name).set(value);
+      }
     }
     {
       obs::Profiler& prof = obs::Profiler::instance();
@@ -598,11 +570,70 @@ bool Server::handle_control(Conn* conn, const std::string& line) {
         .set("error", Json::string("unknown request type: " + type));
   }
   append_response(conn, reply);
-  return true;
 }
 
-void Server::submit_job(const std::shared_ptr<Conn>& conn,
-                        ManifestEntry entry, std::size_t index) {
+JobOutcome Server::run_on_snapshot(const std::string& line, Json reply) {
+  // Pass and hybrid results share the synthesis LRU, keyed on the
+  // writer-independent snapshot (and the canonical hybrid config), so
+  // clients on different builds posting identical IR hit one entry.
+  const std::string type = reply.at("type").as_string();
+  const bool pass = type == "pass";
+  try {
+    const Json doc = Json::parse(line);
+    const Json* name = doc.find("pass");
+    LBIST_CHECK(!pass || (name != nullptr && name->is_string()),
+                "pass request needs a \"pass\" name");
+    const Json* snap = doc.find("snapshot");
+    LBIST_CHECK(snap != nullptr && snap->is_object(),
+                type + " request needs a \"snapshot\" object");
+    const PassPipeline& pipeline = PassPipeline::standard();
+    HybridConfig config;
+    std::size_t index = 0;
+    if (pass) {
+      index = pipeline.index_of(name->as_string());
+    } else if (const Json* cfg_json = doc.find("config")) {
+      config = hybrid_config_from_json(*cfg_json);
+    }
+    const std::string key = pass_cache_key(
+        pass ? name->as_string()
+             : "hybrid#" + hybrid_config_to_json(config).dump_compact(),
+        *snap);
+    Json out;
+    if (auto cached = cache_.get(key)) {
+      out = std::move(*cached);
+    } else {
+      SynthState state = pipeline.restore(*snap);
+      state.options().trace = opts_.trace;
+      state.options().events = &events_;
+      if (pass) {
+        LBIST_CHECK(state.completed == index,
+                    "snapshot stage \"" + snap->at("stage").as_string() +
+                        "\" is not the predecessor of pass \"" +
+                        name->as_string() + "\"");
+        pipeline.run(state, index + 1);
+        out = pipeline.snapshot(state);
+      } else {
+        out = evaluate_hybrid(state, config);
+      }
+      cache_.put(key, out);
+    }
+    if (pass) {
+      reply.set("status", Json::string("ok"))
+          .set("pass", Json::string(name->as_string()))
+          .set("snapshot", std::move(out));
+    } else {
+      metrics_.counter("requests_hybrid").inc();
+      reply.set("status", Json::string("ok")).set("hybrid", std::move(out));
+    }
+    return {std::move(reply), true};
+  } catch (const std::exception& e) {
+    return {error_reply(std::move(reply), e.what()), false};
+  }
+}
+
+void Server::submit(const std::shared_ptr<Conn>& conn, std::size_t index,
+                    std::string name, Json head,
+                    std::function<JobOutcome()> run) {
   Shard& shard = *shards_[static_cast<std::size_t>(conn->shard)];
   metrics_.counter("requests_total").inc();
   metrics_.counter(shard.m_requests).inc();
@@ -612,12 +643,7 @@ void Server::submit_job(const std::shared_ptr<Conn>& conn,
       static_cast<std::int64_t>(opts_.max_queue)) {
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     metrics_.counter("requests_rejected").inc();
-    Json reject = Json::object()
-                      .set("job", Json::number(index))
-                      .set("name", Json::string(display_name(entry, index)))
-                      .set("status", Json::string("error"))
-                      .set("error", Json::string("overloaded"));
-    append_response(conn.get(), reject);
+    append_response(conn.get(), error_reply(std::move(head), "overloaded"));
     log_event(Json::object()
                   .set("event", Json::string("request"))
                   .set("conn", Json::number(conn->id))
@@ -634,7 +660,8 @@ void Server::submit_job(const std::shared_ptr<Conn>& conn,
   const std::uint64_t span_id =
       next_span_id_.fetch_add(1, std::memory_order_relaxed);
   const Clock::time_point admitted = Clock::now();
-  pool_->submit([this, conn, entry = std::move(entry), index, span_id,
+  pool_->submit([this, conn, index, name = std::move(name),
+                 head = std::move(head), run = std::move(run), span_id,
                  admitted]() mutable {
     const double waited_ms = ms_since(admitted);
     metrics_.histogram("queue_ms").record(waited_ms);
@@ -645,22 +672,17 @@ void Server::submit_job(const std::shared_ptr<Conn>& conn,
       // Stale request: answer without executing so the worker moves
       // straight on to work someone is still waiting for.
       metrics_.counter("requests_deadline").inc();
-      response = Json::object()
-                     .set("job", Json::number(index))
-                     .set("name", Json::string(display_name(entry, index)))
-                     .set("status", Json::string("error"))
-                     .set("error", Json::string("deadline exceeded"));
+      response = error_reply(std::move(head), "deadline exceeded");
       status = "deadline";
     } else {
       if (opts_.test_hold) opts_.test_hold();
       auto span = trace_span(opts_.trace, "request");
-      JobOutcome outcome =
-          run_entry(entry, index, cache_, metrics_, opts_.trace, &events_);
+      JobOutcome outcome = run();
       metrics_.counter(outcome.ok ? "requests_ok" : "requests_error").inc();
       status = outcome.ok ? "ok" : "error";
       response = std::move(outcome.line);
       if (span.active()) {
-        span.arg("name", display_name(entry, index));
+        span.arg("name", name);
         span.arg("conn", static_cast<std::uint64_t>(conn->id));
         span.arg("span_id", span_id);
         span.arg("status", status);
@@ -682,7 +704,7 @@ void Server::submit_job(const std::shared_ptr<Conn>& conn,
                     .set("conn", Json::number(conn->id))
                     .set("shard", Json::number(conn->shard))
                     .set("job", Json::number(index))
-                    .set("name", Json::string(display_name(entry, index)))
+                    .set("name", Json::string(name))
                     .set("span_id", Json::number(span_id))
                     .set("threshold_ms", Json::number(opts_.slow_request_ms))
                     .set("ms", Json::number(total_ms)));
@@ -691,7 +713,7 @@ void Server::submit_job(const std::shared_ptr<Conn>& conn,
                   .set("event", Json::string("request"))
                   .set("conn", Json::number(conn->id))
                   .set("job", Json::number(index))
-                  .set("name", Json::string(display_name(entry, index)))
+                  .set("name", Json::string(name))
                   .set("status", Json::string(status))
                   .set("span_id", Json::number(span_id))
                   .set("ms", Json::number(total_ms)));
@@ -820,40 +842,10 @@ void Server::log_event(const Json& line) {
 }
 
 Json Server::metrics_json() const {
-  const SynthesisCache::Stats cs = cache_.stats();
-  const double lookups = static_cast<double>(cs.hits + cs.misses);
   Json out = Json::object()
-      .set("registry", metrics_.to_json())
-      .set("cache",
-           Json::object()
-               .set("hits", Json::number(cs.hits))
-               .set("misses", Json::number(cs.misses))
-               .set("evictions", Json::number(cs.evictions))
-               .set("size", Json::number(cs.size))
-               .set("capacity", Json::number(cs.capacity))
-               .set("persistent_hits",
-                    Json::number(cache_.persistent_hits()))
-               .set("hit_rate", Json::number(lookups == 0.0
-                                                 ? 0.0
-                                                 : static_cast<double>(
-                                                       cs.hits) /
-                                                       lookups)));
-  if (disk_ != nullptr) {
-    const DiskCache::Stats ds = disk_->stats();
-    out.set("diskcache",
-            Json::object()
-                .set("hits", Json::number(ds.hits))
-                .set("misses", Json::number(ds.misses))
-                .set("puts", Json::number(ds.puts))
-                .set("evictions", Json::number(ds.evictions))
-                .set("compactions", Json::number(ds.compactions))
-                .set("dropped", Json::number(ds.dropped))
-                .set("recovered", Json::number(ds.recovered))
-                .set("entries", Json::number(ds.entries))
-                .set("file_bytes", Json::number(ds.file_bytes))
-                .set("live_bytes", Json::number(ds.live_bytes))
-                .set("budget_bytes", Json::number(ds.budget_bytes)));
-  }
+                 .set("registry", metrics_.to_json())
+                 .set("cache", stats_json(cache_stats(cache_)));
+  if (disk_ != nullptr) out.set("diskcache", stats_json(disk_stats(*disk_)));
   return out;
 }
 

@@ -4,18 +4,18 @@
 // `lowbist serve` binds a loopback TCP port and speaks newline-delimited
 // JSON: one request object per line in, one result line out.  Job requests
 // use the exact `lowbist batch` manifest schema and produce byte-identical
-// result lines (every request runs through service/batch's decode_
-// manifest_line + run_entry), so a JSONL manifest is replayable against a
+// result lines (every job runs through service/batch's decode_manifest_
+// line + run_entry), so a JSONL manifest is replayable against a
 // live server — but the ThreadPool and SynthesisCache now persist across
 // requests and connections, keeping the cache warm between sweeps.
 //
 // Architecture (one Server instance, `shards` event-loop shards):
 //
 //   shard 0..N-1, each: SO_REUSEPORT listener + epoll loop ──► ThreadPool
-//        │  (non-blocking line framing, control requests,          │
+//        │  (non-blocking line framing, queries,                   │
 //   SIGINT/SIGTERM  bounded admission → reject "overloaded")  workers run
-//   self-pipe       └◄── responses queued by workers, flushed    run_entry
-//   wakeup               by the shard loop with backpressure ◄──────┘
+//   self-pipe       └◄── responses queued by workers, flushed  jobs, pass
+//   wakeup               by the shard loop with backpressure ◄─ and hybrid
 //
 // The kernel load-balances incoming connections across the shard
 // listeners; each shard owns its connections outright, so no lock is
@@ -24,17 +24,18 @@
 // responses pile up past `max_outbound` is disconnected (slow-reader
 // protection) instead of growing server memory without bound.
 //
-// Admission control: at most `max_queue` requests may be admitted-but-
-// unfinished; past that a request is rejected immediately with a
-// status:"error"/"overloaded" line instead of buffering without bound.
-// Deadlines: with `deadline_ms` > 0, a request that waited longer than the
-// deadline in the queue is answered with a "deadline exceeded" error when
-// a worker picks it up — the stale request never executes, so one backlog
-// spike cannot poison workers with long-dead work.  Control requests
-// ({"type":"health"} / {"type":"metrics"}) are answered inline by the
-// shard loop and keep working under full overload.  Graceful shutdown
-// (request_stop(), or SIGINT/SIGTERM with handle_signals): stop
-// accepting, stop reading, drain every admitted request, flush responses,
+// Work — a manifest job, a {"type":"pass"} or a {"type":"hybrid"} request
+// — takes one path: at most `max_queue` items may be admitted-but-
+// unfinished; past that an item is refused at once with a status:"error"/
+// "overloaded" line instead of buffering without bound.  Deadlines: with
+// `deadline_ms` > 0, an item that waited longer than the deadline in the
+// queue is answered with a "deadline exceeded" error when a worker picks
+// it up — the stale item never executes, so one backlog spike cannot
+// poison workers with long-dead work.  Queries (health, metrics,
+// prometheus, profile) read server state and are answered inline by the
+// shard loop, so they keep working under full overload.  Graceful
+// shutdown (request_stop(), or SIGINT/SIGTERM with handle_signals): stop
+// accepting, stop reading, drain every admitted item, flush responses,
 // then dump final metrics to the log stream.  See docs/server.md.
 //
 // Persistent cache: with `cache_dir` set, a content-addressed DiskCache
@@ -66,8 +67,8 @@ struct ServerOptions {
   int jobs = 1;                      ///< worker threads; < 1 = hardware count
   int shards = 1;                    ///< event-loop shards; < 1 = 1
   std::size_t cache_capacity = 256;  ///< SynthesisCache entries
-  std::size_t max_queue = 64;        ///< admitted-but-unfinished bound
-  int deadline_ms = 0;               ///< per-request queue deadline; 0 = none
+  std::size_t max_queue = 64;        ///< admitted-but-unfinished work bound
+  int deadline_ms = 0;               ///< per-item queue deadline; 0 = none
   /// Pending (unsent) response bytes allowed per connection before the
   /// peer is treated as a slow reader and disconnected.
   std::size_t max_outbound = 8u << 20;
@@ -91,9 +92,9 @@ struct ServerOptions {
   /// in addition to the always-on counters.  Off by default: a long-lived
   /// server should not accumulate an unbounded event log.
   bool keep_events = false;
-  /// Test seam: when set, workers invoke this before executing each job
-  /// (after the deadline check).  Tests block here to hold workers busy and
-  /// exercise admission control and shutdown draining deterministically.
+  /// Test seam: when set, workers invoke this before running each work
+  /// item (after the deadline check).  Tests block here to hold workers
+  /// busy and make admission and shutdown draining deterministic.
   std::function<void()> test_hold;
 };
 
@@ -144,12 +145,15 @@ class Server {
   void shard_loop(Shard& shard);
   void accept_burst(Shard& shard);
   void on_readable(Shard& shard, const std::shared_ptr<Conn>& conn);
-  void process_pending_lines(const std::shared_ptr<Conn>& conn);
-  /// Handles {"type": ...} control requests inline; returns false when the
-  /// line is not a control request.
-  bool handle_control(Conn* conn, const std::string& line);
-  void submit_job(const std::shared_ptr<Conn>& conn, ManifestEntry entry,
-                  std::size_t index);
+  /// Answers a query inline or submits work, for one request line.
+  void route_line(const std::shared_ptr<Conn>& conn, std::string line);
+  void answer_query(Conn* conn, const std::string& type, const Json& doc);
+  /// A pass or hybrid request, run on a worker; `reply` holds the reply's
+  /// leading fields.
+  JobOutcome run_on_snapshot(const std::string& line, Json reply);
+  /// The one path for work: admission, queue deadline, pool, accounting.
+  void submit(const std::shared_ptr<Conn>& conn, std::size_t index,
+              std::string name, Json head, std::function<JobOutcome()> run);
   /// Queues one response line (any thread); flags overflow for the loop.
   void append_response(Conn* conn, const Json& line);
   /// Flushes, rearms epoll interest and retires the connection when it is

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -59,6 +60,32 @@ std::vector<std::string> sorted_lines(const std::string& text) {
   }
   std::sort(lines.begin(), lines.end());
   return lines;
+}
+
+/// Reply lines grouped by their "type" (manifest job results under ""),
+/// each group in arrival order; a group of work replies, which carry a
+/// "job" index and may complete out of order on several workers, is
+/// sorted by job.
+std::map<std::string, std::vector<Json>> replies_by_type(
+    const std::string& text) {
+  std::map<std::string, std::vector<Json>> groups;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    Json reply = Json::parse(line);
+    const Json* type = reply.find("type");
+    groups[type != nullptr ? type->as_string() : ""].push_back(
+        std::move(reply));
+  }
+  for (auto& [type, replies] : groups) {
+    const auto has_job = [](const Json& r) { return r.contains("job"); };
+    if (!std::all_of(replies.begin(), replies.end(), has_job)) continue;
+    std::stable_sort(replies.begin(), replies.end(),
+                     [](const Json& a, const Json& b) {
+                       return a.at("job").as_int() < b.at("job").as_int();
+                     });
+  }
+  return groups;
 }
 
 /// A gate the test holds closed to pin workers inside job execution, so
@@ -241,6 +268,7 @@ TEST(ServerEndToEnd, OverflowYieldsOverloadedErrorsAndServerStaysHealthy) {
 // Per-request deadlines: requests that sat in the queue past the deadline
 // are answered with a timeout error when a worker picks them up; the
 // worker itself moves on unharmed and the fresh request still executes.
+// A pass request waits in the same queue under the same deadline.
 TEST(ServerEndToEnd, ExpiredQueueDeadlineAnswersWithTimeoutError) {
   Gate gate;
   ServerOptions opts;
@@ -253,30 +281,36 @@ TEST(ServerEndToEnd, ExpiredQueueDeadlineAnswersWithTimeoutError) {
   const std::string manifest =
       "{\"bench\": \"ex1\"}\n"
       "{\"bench\": \"ex1\", \"width\": 8}\n"
-      "{\"bench\": \"ex1\", \"width\": 16}\n";
+      "{\"bench\": \"ex1\", \"width\": 16}\n"
+      "{\"type\": \"pass\", \"pass\": \"sched\", \"snapshot\": {}}\n";
   std::ostringstream out;
   ClientSummary summary;
   std::thread client([&] {
     summary = run_client("127.0.0.1", server.port(), manifest, out);
   });
   // The worker dequeues job 0 (within its deadline) and blocks in the
-  // gate; jobs 1 and 2 age in the queue past the 500ms deadline.
+  // gate; jobs 1-3 age in the queue past the 500ms deadline.
   ASSERT_TRUE(wait_histogram_count(server, "queue_ms", 1));
-  ASSERT_TRUE(wait_counter(server, "requests_total", 3));
+  ASSERT_TRUE(wait_counter(server, "requests_total", 4));
   std::this_thread::sleep_for(std::chrono::milliseconds(900));
   gate.open();
   client.join();
 
-  EXPECT_EQ(summary.responses, 3);
+  EXPECT_EQ(summary.responses, 4);
   EXPECT_EQ(summary.ok, 1);
-  EXPECT_EQ(summary.errors, 2);
+  EXPECT_EQ(summary.errors, 3);
   for (const auto& line : sorted_lines(out.str())) {
     const Json j = Json::parse(line);
     if (j.at("status").as_string() == "error") {
       EXPECT_EQ(j.at("error").as_string(), "deadline exceeded");
     }
   }
-  EXPECT_EQ(server.metrics().counter("requests_deadline").value(), 2u);
+  auto replies = replies_by_type(out.str());
+  ASSERT_EQ(replies["pass"].size(), 1u);
+  EXPECT_EQ(replies["pass"][0].dump_compact(),
+            "{\"type\":\"pass\",\"job\":3,\"status\":\"error\","
+            "\"error\":\"deadline exceeded\"}");
+  EXPECT_EQ(server.metrics().counter("requests_deadline").value(), 3u);
 
   // The worker was not poisoned: a fresh request still gets a result.
   std::ostringstream after;
@@ -461,6 +495,108 @@ TEST(ServerEndToEnd, HybridRequestEvaluatesAndCaches) {
             std::string::npos);
 }
 
+// A pass request is work: a worker runs it (here held at test_hold),
+// health is answered beside it and counts it in flight, and with
+// max_queue 1 it fills the queue, so a hybrid request behind it is
+// refused in the hybrid reply's shape.
+TEST(ServerEndToEnd, HeldPassRequestCountsInFlightAndFillsTheQueue) {
+  const Benchmark bench = make_ex1();
+  SynthState state(bench.design.dfg, *bench.design.schedule,
+                   parse_module_spec(bench.module_spec), SynthesisOptions{});
+  const PassPipeline& pipeline = PassPipeline::standard();
+  pipeline.run(state, pipeline.index_of("binding"));
+  const Json snap = pipeline.snapshot(state);
+  const std::string pass = Json::object()
+                               .set("type", Json::string("pass"))
+                               .set("pass", Json::string("binding"))
+                               .set("snapshot", snap)
+                               .dump_compact() +
+                           "\n";
+  const std::string hybrid = Json::object()
+                                 .set("type", Json::string("hybrid"))
+                                 .set("snapshot", snap)
+                                 .dump_compact() +
+                             "\n";
+
+  Gate gate;
+  ServerOptions opts;
+  opts.jobs = 1;
+  opts.max_queue = 1;
+  opts.test_hold = gate.hold();
+  Server server(std::move(opts));
+  server.start();
+  std::ostringstream held_out;
+  std::thread held(
+      [&] { run_client("127.0.0.1", server.port(), pass, held_out); });
+  // The worker has dequeued the pass request and waits in the gate.
+  EXPECT_TRUE(wait_histogram_count(server, "queue_ms", 1));
+  std::ostringstream out;
+  const ClientSummary summary = run_client(
+      "127.0.0.1", server.port(), "{\"type\": \"health\"}\n" + hybrid, out);
+  gate.open();
+  held.join();
+  server.stop();
+
+  EXPECT_EQ(summary.responses, 2);
+  auto replies = replies_by_type(out.str());
+  ASSERT_EQ(replies["health"].size(), 1u);
+  EXPECT_EQ(replies["health"][0].at("in_flight").as_int(), 1);
+  ASSERT_EQ(replies["hybrid"].size(), 1u);
+  EXPECT_EQ(replies["hybrid"][0].dump_compact(),
+            "{\"type\":\"hybrid\",\"job\":0,\"status\":\"error\","
+            "\"error\":\"overloaded\"}");
+  auto held_replies = replies_by_type(held_out.str());
+  ASSERT_EQ(held_replies["pass"].size(), 1u);
+  EXPECT_EQ(held_replies["pass"][0].at("status").as_string(), "ok");
+  EXPECT_TRUE(held_replies["pass"][0].contains("job"));
+}
+
+// With two workers, pipelined pass requests on one connection may be
+// answered out of order; each reply carries its request's job index.
+TEST(ServerEndToEnd, PipelinedPassRepliesCarryTheirJobIndex) {
+  const Benchmark bench = make_ex1();
+  const PassPipeline& pipeline = PassPipeline::standard();
+  std::string request;
+  std::vector<std::string> want;
+  for (const char* pass : {"interconnect", "binding"}) {
+    SynthState state(bench.design.dfg, *bench.design.schedule,
+                     parse_module_spec(bench.module_spec),
+                     SynthesisOptions{});
+    const std::size_t index = pipeline.index_of(pass);
+    pipeline.run(state, index);
+    request += Json::object()
+                   .set("type", Json::string("pass"))
+                   .set("pass", Json::string(pass))
+                   .set("snapshot", pipeline.snapshot(state))
+                   .dump_compact() +
+               "\n";
+    pipeline.run(state, index + 1);
+    want.push_back(pipeline.snapshot(state).dump_compact());
+  }
+
+  ServerOptions opts;
+  opts.jobs = 2;
+  Server server(std::move(opts));
+  server.start();
+  std::ostringstream out;
+  const ClientSummary summary =
+      run_client("127.0.0.1", server.port(), request, out);
+  server.stop();
+
+  EXPECT_EQ(summary.ok, 2);
+  std::vector<int> answered(want.size(), 0);
+  for (const std::string& line : sorted_lines(out.str())) {
+    const Json reply = Json::parse(line);
+    const Json* job = reply.find("job");
+    ASSERT_NE(job, nullptr) << line;
+    const std::size_t index = static_cast<std::size_t>(job->as_int());
+    ASSERT_LT(index, want.size());
+    EXPECT_EQ(reply.at("snapshot").dump_compact(), want[index]);
+    ++answered[index];
+  }
+  EXPECT_EQ(answered, std::vector<int>(want.size(), 1));
+}
+
 // A posted snapshot whose data path or BIST solution names a register
 // that does not exist gets an error naming the field, not an
 // out-of-bounds read on the shard, which goes on answering the same
@@ -502,19 +638,18 @@ TEST(ServerEndToEnd, OutOfRangeSnapshotIndicesAreRejectedAndShardStaysUp) {
   server.stop();
 
   ASSERT_EQ(summary.responses, 3);
-  std::istringstream lines(out.str());
-  for (const char* field :
-       {"modules[0].left_sources", "embeddings[0].tpg_left"}) {
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line));
-    const Json rejected = Json::parse(line);
+  auto replies = replies_by_type(out.str());
+  for (const auto& [type, field] :
+       {std::pair{"pass", "modules[0].left_sources"},
+        std::pair{"hybrid", "embeddings[0].tpg_left"}}) {
+    ASSERT_EQ(replies[type].size(), 1u) << type;
+    const Json& rejected = replies[type][0];
     EXPECT_EQ(rejected.at("status").as_string(), "error");
     EXPECT_NE(rejected.at("error").as_string().find(field), std::string::npos)
         << rejected.at("error").as_string();
   }
-  std::string last;
-  ASSERT_TRUE(std::getline(lines, last));
-  const Json health = Json::parse(last);
+  ASSERT_EQ(replies["health"].size(), 1u);
+  const Json& health = replies["health"][0];
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
@@ -548,16 +683,15 @@ TEST(ServerEndToEnd, OversizedEvolveConfigIsRejectedAndShardStaysUp) {
   server.stop();
 
   ASSERT_EQ(summary.responses, 2);
-  std::istringstream lines(out.str());
-  std::string first, second;
-  ASSERT_TRUE(std::getline(lines, first));
-  ASSERT_TRUE(std::getline(lines, second));
-  const Json rejected = Json::parse(first);
+  auto replies = replies_by_type(out.str());
+  ASSERT_EQ(replies["hybrid"].size(), 1u);
+  ASSERT_EQ(replies["health"].size(), 1u);
+  const Json& rejected = replies["hybrid"][0];
   EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
   EXPECT_EQ(rejected.at("status").as_string(), "error");
   EXPECT_NE(rejected.at("error").as_string().find("evolve_population"),
             std::string::npos);
-  const Json health = Json::parse(second);
+  const Json& health = replies["health"][0];
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
@@ -592,17 +726,16 @@ TEST(ServerEndToEnd, OverwideHybridWidthIsRejectedAndShardStaysUp) {
   server.stop();
 
   ASSERT_EQ(summary.responses, 2);
-  std::istringstream lines(out.str());
-  std::string first, second;
-  ASSERT_TRUE(std::getline(lines, first));
-  ASSERT_TRUE(std::getline(lines, second));
-  const Json rejected = Json::parse(first);
+  auto replies = replies_by_type(out.str());
+  ASSERT_EQ(replies["hybrid"].size(), 1u);
+  ASSERT_EQ(replies["health"].size(), 1u);
+  const Json& rejected = replies["hybrid"][0];
   EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
   EXPECT_EQ(rejected.at("status").as_string(), "error");
   EXPECT_NE(rejected.at("error").as_string().find("width 40 is outside"),
             std::string::npos)
       << rejected.at("error").as_string();
-  const Json health = Json::parse(second);
+  const Json& health = replies["health"][0];
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
@@ -635,17 +768,16 @@ TEST(ServerEndToEnd, OverlongHybridPhaseIsRejectedAndShardStaysUp) {
   server.stop();
 
   ASSERT_EQ(summary.responses, 2);
-  std::istringstream lines(out.str());
-  std::string first, second;
-  ASSERT_TRUE(std::getline(lines, first));
-  ASSERT_TRUE(std::getline(lines, second));
-  const Json rejected = Json::parse(first);
+  auto replies = replies_by_type(out.str());
+  ASSERT_EQ(replies["hybrid"].size(), 1u);
+  ASSERT_EQ(replies["health"].size(), 1u);
+  const Json& rejected = replies["hybrid"][0];
   EXPECT_EQ(rejected.at("type").as_string(), "hybrid");
   EXPECT_EQ(rejected.at("status").as_string(), "error");
   EXPECT_NE(rejected.at("error").as_string().find("pr_patterns"),
             std::string::npos)
       << rejected.at("error").as_string();
-  const Json health = Json::parse(second);
+  const Json& health = replies["health"][0];
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
 }
@@ -698,20 +830,19 @@ TEST(ServerEndToEnd, InexactPostedNumbersAreRejectedAndShardStaysUp) {
   server.stop();
 
   ASSERT_EQ(summary.responses, static_cast<int>(bad.size()) + 1);
-  std::istringstream lines(out.str());
+  auto replies = replies_by_type(out.str());
+  std::map<std::string, std::size_t> next;
   for (const auto& [field, value] : bad) {
-    std::string line;
-    ASSERT_TRUE(std::getline(lines, line));
-    const Json reply = Json::parse(line);
-    EXPECT_EQ(reply.at("type").as_string(),
-              field == "hz" ? "profile" : "hybrid");
+    const std::string type = field == "hz" ? "profile" : "hybrid";
+    ASSERT_LT(next[type], replies[type].size()) << type;
+    const Json& reply = replies[type][next[type]++];
+    EXPECT_EQ(reply.at("type").as_string(), type);
     EXPECT_EQ(reply.at("status").as_string(), "error") << field << value;
     EXPECT_NE(reply.at("error").as_string().find(field), std::string::npos)
         << reply.at("error").as_string();
   }
-  std::string last;
-  ASSERT_TRUE(std::getline(lines, last));
-  const Json health = Json::parse(last);
+  ASSERT_EQ(replies["health"].size(), 1u);
+  const Json& health = replies["health"][0];
   EXPECT_EQ(health.at("type").as_string(), "health");
   EXPECT_EQ(health.at("status").as_string(), "ok");
   EXPECT_FALSE(obs::Profiler::instance().running());
